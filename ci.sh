@@ -29,6 +29,9 @@ if git cat-file -e HEAD:lint-allow.txt 2>/dev/null; then
     fi
 fi
 
+echo "== perfbench self-test (repository benchmark: tiny-scale oracle, exact-repeat and metric-list checks) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 if [ "$mode" = "quick" ]; then
     echo "== cargo test (debug) =="
     cargo test --workspace -q
@@ -57,9 +60,6 @@ else
     cargo test --release -q --test fault_injection
     echo "== bounded-memory quickstart smoke run =="
     cargo run --release -q --example quickstart
-    echo "== churn workload smoke run =="
-    cargo run --release -q -p bench --bin churn -- --rounds 2 --ops 512
-    test -s BENCH_churn.json
     echo "== profiled churn replay (trace export + span/launch accounting) =="
     cargo run --release -q -p bench --bin profile -- --scale 4096 | tee /tmp/profile.out
     grep -q "trace OK:" /tmp/profile.out   # span count == launch count, trace parsed back
@@ -74,6 +74,11 @@ else
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="
     cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 5 --ops 256 --shards 4 --sessions 4 --seed 41 --chaos
     test -s BENCH_chaos.json
+    # Last churn run before the gate: the sanitized runs above overwrite
+    # BENCH_churn.json at other configs, and the baseline is this one's.
+    echo "== churn workload smoke run =="
+    cargo run --release -q -p bench --bin churn -- --rounds 2 --ops 512
+    test -s BENCH_churn.json
     echo "== bench regression gate (fresh artifacts vs benchmarks/baselines, incl. perturbation self-test) =="
     cargo run --release -q --bin bench-gate -- --selftest BENCH_churn.json BENCH_chaos.json
     echo "== sharding conformance suite (1/2/4-shard parity + OOM recovery) =="

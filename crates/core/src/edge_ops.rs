@@ -168,7 +168,10 @@ impl DynGraph {
                 }
             }
 
-            // Lines 4–14: warp work queue.
+            // Lines 4–14: warp work queue. The batch's `changed` total is
+            // host-reporting bookkeeping outside Algorithm 1, so the warp
+            // sums it in a register and publishes it with one atomic.
+            let mut warp_changed = 0u32;
             loop {
                 let work_queue = warp.ballot(&pending);
                 let Some(current_lane) = gpu_sim::ffs(work_queue) else {
@@ -242,11 +245,14 @@ impl DynGraph {
                             warp.atomic_sub(count_addr, added_count);
                         }
                     }
-                    warp.atomic_add(changed_total, added_count);
+                    warp_changed += added_count;
                 }
 
                 // Lines 11–13: retire the completed group.
                 pending = pending.zip_with(&same_src, |p, s| p && !s);
+            }
+            if warp_changed > 0 {
+                warp.atomic_add(changed_total, warp_changed);
             }
         });
         // Batch boundary: publish this batch's frees (the release edge of
@@ -258,19 +264,14 @@ impl DynGraph {
         // An edge is complete only when every direction-mirrored copy was
         // applied; half-applied undirected edges go back in the suffix
         // (re-inserting the applied half is an uncounted replace/no-op).
-        let changed = self.dev.arena().load(changed_total) as u64;
-        let mut pending_edges = Vec::new();
-        for (j, &e) in original.iter().enumerate() {
-            let applied = (0..per_edge).all(|k| {
-                self.dev
-                    .arena()
-                    .load(status_buf + (j * per_edge + k) as u32)
-                    != 0
-            });
-            if !applied {
-                pending_edges.push(e);
-            }
-        }
+        let changed = self.download(changed_total, 1)[0] as u64;
+        let status = self.download(status_buf, n);
+        let pending_edges: Vec<Edge> = original
+            .iter()
+            .zip(status.chunks(per_edge))
+            .filter(|(_, s)| s.contains(&0))
+            .map(|(&e, _)| e)
+            .collect();
         Ok(BatchOutcome {
             op: batch_op,
             attempted: original.len(),
@@ -287,6 +288,8 @@ impl DynGraph {
 mod tests {
     use super::*;
     use crate::config::GraphConfig;
+    use gpu_sim::ExecPolicy;
+    use std::collections::HashSet;
 
     fn graph(cap: u32) -> DynGraph {
         DynGraph::with_uniform_buckets(GraphConfig::directed_map(cap), cap, 1)
@@ -452,6 +455,81 @@ mod tests {
         let g = graph(4);
         assert_eq!(g.insert_edges(&[]), 0);
         assert_eq!(g.delete_edges(&[]), 0);
+    }
+
+    /// Warp 0 of the returned 64-edge batch holds 32 edges over sources
+    /// 0..4 (4 groups); warp 1 holds 32 edges over sources 4..8.
+    fn two_warp_batch() -> (Vec<Edge>, Vec<Edge>) {
+        let warp = |first_src: u32| -> Vec<Edge> {
+            (0..32u32)
+                .map(|i| Edge::new(first_src + i % 4, 8 + i / 4))
+                .collect()
+        };
+        (warp(0), warp(4))
+    }
+
+    #[test]
+    fn changed_total_costs_one_atomic_per_changing_warp() {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_set(16), 16, 1);
+        let (fresh, present) = two_warp_batch();
+        g.insert_edges(&present);
+        let batch = [fresh, present].concat();
+
+        // Warp 0: 32 slot claims, 4 per-group count atomics and one
+        // `changed_total` atomic. Warp 1 only re-inserts present edges: no
+        // atomics at all.
+        let mut changed = 0;
+        let c = g.kernel_delta("edge_insert", || changed = g.insert_edges(&batch));
+        assert_eq!(changed, 32);
+        assert_eq!((c.warps, c.atomics), (2, 32 + 4 + 1));
+
+        // Delete warp 0's edges again beside 32 misses: 32 tombstone CASes,
+        // 4 count atomics, one `changed_total` atomic; the misses add none.
+        let (hits, _) = two_warp_batch();
+        let misses: Vec<Edge> = hits
+            .iter()
+            .map(|e| Edge::new(e.src + 4, e.dst + 40))
+            .collect();
+        let batch = [hits, misses].concat();
+        let c = g.kernel_delta("edge_delete", || changed = g.delete_edges(&batch));
+        assert_eq!(changed, 32);
+        assert_eq!((c.warps, c.atomics), (2, 32 + 4 + 1));
+    }
+
+    #[test]
+    fn warp_local_changed_counts_match_across_executors() {
+        // 1024 edges over 8 sources and 48 destinations: every source
+        // recurs in every warp and most edges repeat across warps, so
+        // racing warps contend for the same keys and counters.
+        let mut x = 0x2545_f491u32;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let batch: Vec<Edge> = (0..1024)
+            .map(|_| Edge::new(next() % 8, 8 + next() % 48))
+            .collect();
+        let doomed: Vec<Edge> = (0..768)
+            .map(|_| Edge::new(next() % 8, 8 + next() % 56))
+            .collect();
+        let pairs: Vec<(u32, u32)> = (0..640).map(|_| (next() % 8, 8 + next() % 56)).collect();
+        let run = |policy: ExecPolicy| {
+            let mut g = DynGraph::with_uniform_buckets(GraphConfig::directed_set(64), 64, 1);
+            g.device_mut().set_policy(policy);
+            let inserted = g.insert_edges(&batch);
+            let before = g.edges_exist(&g.pin_read(), &pairs);
+            let deleted = g.delete_edges(&doomed);
+            let after = g.edges_exist(&g.pin_read(), &pairs);
+            let degrees: Vec<u32> = (0..8).map(|v| g.degree(v)).collect();
+            (inserted, deleted, before, after, degrees)
+        };
+        let seq = run(ExecPolicy::Sequential);
+        let unique: HashSet<(u32, u32)> = batch.iter().map(|e| (e.src, e.dst)).collect();
+        assert_eq!(seq.0, unique.len() as u64);
+        assert!(seq.1 > 0 && seq.1 < seq.0, "deletes mix hits and misses");
+        assert_eq!(run(ExecPolicy::Threaded(4)), seq);
     }
 
     #[test]

@@ -307,6 +307,29 @@ impl DynGraph {
         Ok(buf)
     }
 
+    /// Read `n` words of kernel output back from device memory — the
+    /// device→host half of [`Self::upload`], likewise uncharged.
+    pub(crate) fn download(&self, buf: Addr, n: usize) -> Vec<u32> {
+        (0..n as u32)
+            .map(|i| self.dev.arena().load(buf + i))
+            .collect()
+    }
+
+    /// The counters `f` charged to kernel `name` on this graph's device.
+    #[cfg(test)]
+    pub(crate) fn kernel_delta(&self, name: &str, f: impl FnOnce()) -> gpu_sim::CounterSnapshot {
+        let before = self.dev.trace();
+        f();
+        self.dev
+            .trace()
+            .delta(&before)
+            .kernels
+            .into_iter()
+            .find(|k| k.name == name)
+            .map(|k| k.counters)
+            .unwrap_or_default()
+    }
+
     /// Warp-side descriptor lookup that lazily constructs a single-bucket
     /// table for an untouched vertex (slab from the dynamic pool).
     ///

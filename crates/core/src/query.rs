@@ -11,7 +11,7 @@
 //! coalesced.
 
 use crate::graph::{iter_bits, DynGraph};
-use gpu_sim::{Lanes, WARP_SIZE};
+use gpu_sim::{Lanes, SLAB_WORDS, WARP_SIZE};
 use slab_alloc::ReadGuard;
 use slab_hash::TableKind;
 
@@ -64,13 +64,19 @@ impl DynGraph {
         let dsts: Vec<u32> = pairs.iter().map(|p| p.1).collect();
         let src_buf = self.upload(&srcs, u32::MAX);
         let dst_buf = self.upload(&dsts, u32::MAX);
-        let out_buf = self.upload(&vec![0u32; pairs.len()], 0);
+        // No host zero-fill: the kernel stores every active lane's answer.
+        let out_buf = self
+            .dev
+            .alloc_words(pairs.len().div_ceil(SLAB_WORDS) * SLAB_WORDS, SLAB_WORDS);
 
         self.dev.launch_tasks("edge_exist", pairs.len(), |warp| {
             let base = warp.warp_id() * WARP_SIZE as u32;
             let srcs = warp.read_slab(src_buf + base);
             let dsts = warp.read_slab(dst_buf + base);
             let mut pending = Lanes::from_fn(|i| warp.is_active(i));
+            // Each lane keeps its answer in a register across the work
+            // queue; the warp stores all of them once, after it drains.
+            let mut found = Lanes::splat(false);
             loop {
                 let queue = warp.ballot(&pending);
                 let Some(current_lane) = gpu_sim::ffs(queue) else {
@@ -80,23 +86,22 @@ impl DynGraph {
                 let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
                 let group = warp.ballot(&same_src);
                 let desc = self.dict.desc(warp, current_src);
-                let mut results = Lanes::splat(false);
                 if let Some(desc) = desc {
                     for lane in iter_bits(group) {
-                        results.set(lane as usize, desc.contains(warp, dsts.get(lane as usize)));
+                        found.set(lane as usize, desc.contains(warp, dsts.get(lane as usize)));
                     }
                 }
-                let found = warp.ballot(&results);
-                // Coalesced result write-back for the group.
-                let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
-                let vals = Lanes::from_fn(|i| (found >> i) & 1);
-                warp.write_lanes(&addrs, &vals, group);
                 pending = pending.zip_with(&same_src, |p, s| p && !s);
             }
+            // One coalesced result store: the output buffer is slab-aligned,
+            // so the warp's lanes span exactly one 128 B segment.
+            let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
+            warp.write_lanes(&addrs, &found.map(u32::from), warp.active_mask());
         });
 
-        (0..pairs.len())
-            .map(|i| self.dev.arena().load(out_buf + i as u32) != 0)
+        self.download(out_buf, pairs.len())
+            .into_iter()
+            .map(|w| w != 0)
             .collect()
     }
 
@@ -149,6 +154,8 @@ impl DynGraph {
 mod tests {
     use crate::config::GraphConfig;
     use crate::graph::{DynGraph, Edge};
+    use gpu_sim::{Device, DeviceConfig, FindingKind, Lanes, SanitizerConfig, FULL_MASK};
+    use std::collections::HashSet;
 
     fn graph_with_star() -> DynGraph {
         let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(64), 64, 1);
@@ -174,6 +181,110 @@ mod tests {
         let res = g.edges_exist(&pin, &pairs);
         for (i, &(_, d)) in pairs.iter().enumerate() {
             assert_eq!(res[i], (1..40).contains(&d), "pair {i} dst {d}");
+        }
+    }
+
+    /// A set graph whose vertices `0..n` each hold the single edge
+    /// `v → v + 1` in a one-slab table.
+    fn one_slab_chains(n: u32) -> DynGraph {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_set(2 * n), 2 * n, 1);
+        g.insert_edges(&(0..n).map(|v| Edge::new(v, v + 1)).collect::<Vec<_>>());
+        g
+    }
+
+    /// Transactions the lookups of `pairs` charge on their own: one
+    /// descriptor read and one chain walk per pair. That is the whole
+    /// lookup cost of an `edge_exist` warp whose lanes all have distinct
+    /// sources (every group is a single lane).
+    fn lookup_transactions(g: &DynGraph, pairs: &[(u32, u32)]) -> u64 {
+        g.kernel_delta("lookup_replay", || {
+            g.device().launch_warps("lookup_replay", 1, |warp| {
+                for &(src, dst) in pairs {
+                    if let Some(desc) = g.dict.desc(warp, src) {
+                        desc.contains(warp, dst);
+                    }
+                }
+            })
+        })
+        .transactions
+    }
+
+    #[test]
+    fn edge_exist_stores_a_warps_results_once() {
+        // 32 distinct sources: 32 single-lane groups, one result store.
+        let g = one_slab_chains(32);
+        let pin = g.pin_read();
+        let pairs: Vec<(u32, u32)> = (0..32).map(|v| (v, v + 1 + v % 2)).collect();
+        let mut res = Vec::new();
+        let c = g.kernel_delta("edge_exist", || res = g.edges_exist(&pin, &pairs));
+        assert_eq!(res, (0..32).map(|v| v % 2 == 0).collect::<Vec<_>>());
+        assert_eq!((c.launches, c.warps), (1, 1));
+        // Two coalesced batch loads, the lookups, one result store.
+        assert_eq!(c.transactions, 2 + lookup_transactions(&g, &pairs) + 1);
+    }
+
+    #[test]
+    fn edge_exist_tail_warp_stores_once() {
+        // 40 queries: a full warp and a tail warp of 8 active lanes.
+        let g = one_slab_chains(40);
+        let pin = g.pin_read();
+        let pairs: Vec<(u32, u32)> = (0..40).map(|v| (v, v + 1)).collect();
+        let mut res = Vec::new();
+        let c = g.kernel_delta("edge_exist", || res = g.edges_exist(&pin, &pairs));
+        assert!(res.iter().all(|&hit| hit));
+        assert_eq!((c.launches, c.warps), (1, 2));
+        assert_eq!(c.transactions, 2 * 2 + lookup_transactions(&g, &pairs) + 2);
+    }
+
+    #[test]
+    fn edge_exist_never_writes_result_padding() {
+        // An initcheck sanitizer flags every word no one has written: the
+        // result buffer's 24 padding words must stay that way, with no
+        // host zero-fill and no kernel store.
+        let dev = Device::with_config(
+            DeviceConfig::new(1 << 22).with_sanitizer(SanitizerConfig::default()),
+        );
+        let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_set(64));
+        g.insert_edges(&(0..40).map(|v| Edge::new(v, v + 1)).collect::<Vec<_>>());
+        let pin = g.pin_read();
+        let pairs: Vec<(u32, u32)> = (0..40).map(|v| (v, v + 1)).collect();
+        assert!(g.edges_exist(&pin, &pairs).iter().all(|&hit| hit));
+        // The two-slab result buffer is the query's last allocation.
+        let out = g.device().arena().allocated_words() as u32 - 64;
+        g.device().launch_warps("read_results", 1, |warp| {
+            for slab in [out, out + 32] {
+                warp.read_lanes(&Lanes::from_fn(|i| slab + i as u32), FULL_MASK);
+            }
+        });
+        let unwritten: Vec<u32> = g
+            .device()
+            .sanitizer_findings()
+            .iter()
+            .filter(|f| f.kernel == "read_results")
+            .inspect(|f| assert_eq!(f.kind, FindingKind::UninitRead, "{f}"))
+            .map(|f| f.addr)
+            .collect();
+        assert_eq!(unwritten, (out + 40..out + 64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn edges_exist_answers_warps_with_many_groups() {
+        // 7 sources cycle through every warp, so each warp drains 7
+        // multi-lane groups; a third of the pairs miss.
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_set(64), 64, 1);
+        let edges: Vec<Edge> = (0..7u32)
+            .flat_map(|s| {
+                (0..40)
+                    .filter(|d| d % 3 != 0)
+                    .map(move |d| Edge::new(s, 8 + d))
+            })
+            .collect();
+        g.insert_edges(&edges);
+        let live: HashSet<(u32, u32)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+        let pairs: Vec<(u32, u32)> = (0..100u32).map(|i| (i % 7, 8 + (i * 13) % 40)).collect();
+        let res = g.edges_exist(&g.pin_read(), &pairs);
+        for (p, hit) in pairs.iter().zip(res) {
+            assert_eq!(hit, live.contains(p), "pair {p:?}");
         }
     }
 

@@ -694,12 +694,21 @@ impl<'d> Warp<'d> {
         self.name
     }
 
-    /// Hand a contiguous access to the sanitizer, if one is attached.
-    /// Never charges; a single `Option` check when sanitizing is off.
+    /// Perform one contiguous memory access, handing it to the sanitizer
+    /// first if one is attached. The sanitizer runs `access` under the
+    /// lock that guards the touched slab's shadow, so the shadow sees
+    /// accesses in the order memory does. Never charges; a single
+    /// `Option` check when sanitizing is off.
     #[inline]
-    fn san_access(&self, base: Addr, len: u32, kind: AccessKind) {
-        if let (Some(s), Some(r)) = (&self.device.san, &self.race) {
-            s.on_warp_access(
+    fn san_access<R>(
+        &self,
+        base: Addr,
+        len: u32,
+        kind: AccessKind,
+        access: impl FnOnce() -> R,
+    ) -> R {
+        match (&self.device.san, &self.race) {
+            (Some(s), Some(r)) => s.on_warp_access(
                 &mut r.borrow_mut(),
                 self.warp_id,
                 self.name,
@@ -707,19 +716,9 @@ impl<'d> Warp<'d> {
                 len,
                 kind,
                 self.device.arena.allocated_words(),
-            );
-        }
-    }
-
-    /// Sanitize a masked scattered access, word by word.
-    fn san_lanes(&self, addrs: &Lanes<Addr>, mask: u32, kind: AccessKind) {
-        if self.device.san.is_none() {
-            return;
-        }
-        for i in 0..WARP_SIZE {
-            if mask & (1 << i) != 0 {
-                self.san_access(addrs.0[i], 1, kind);
-            }
+                access,
+            ),
+            _ => access(),
         }
     }
 
@@ -877,16 +876,20 @@ impl<'d> Warp<'d> {
     #[inline]
     pub fn read_slab(&self, base: Addr) -> Lanes<u32> {
         self.charge_transactions(1);
-        self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainRead);
-        Lanes(self.device.arena.load_slab(base))
+        Lanes(
+            self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainRead, || {
+                self.device.arena.load_slab(base)
+            }),
+        )
     }
 
     /// Coalesced write of one 128 B slab. One transaction.
     #[inline]
     pub fn write_slab(&self, base: Addr, words: &Lanes<u32>) {
         self.charge_transactions(1);
-        self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainWrite);
-        self.device.arena.store_slab(base, &words.0);
+        self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainWrite, || {
+            self.device.arena.store_slab(base, &words.0)
+        });
     }
 
     /// Scattered per-lane reads: lane *i* (if set in `mask`) loads
@@ -894,10 +897,12 @@ impl<'d> Warp<'d> {
     /// touched, exactly like hardware coalescing.
     pub fn read_lanes(&self, addrs: &Lanes<Addr>, mask: u32) -> Lanes<u32> {
         self.charge_scattered(addrs, mask);
-        self.san_lanes(addrs, mask, AccessKind::PlainRead);
         Lanes::from_fn(|i| {
             if mask & (1 << i) != 0 {
-                self.device.arena.load(addrs.0[i])
+                let addr = addrs.0[i];
+                self.san_access(addr, 1, AccessKind::PlainRead, || {
+                    self.device.arena.load(addr)
+                })
             } else {
                 0
             }
@@ -907,10 +912,12 @@ impl<'d> Warp<'d> {
     /// Scattered per-lane writes with coalescing-aware charging.
     pub fn write_lanes(&self, addrs: &Lanes<Addr>, vals: &Lanes<u32>, mask: u32) {
         self.charge_scattered(addrs, mask);
-        self.san_lanes(addrs, mask, AccessKind::PlainWrite);
         for i in 0..WARP_SIZE {
             if mask & (1 << i) != 0 {
-                self.device.arena.store(addrs.0[i], vals.0[i]);
+                let addr = addrs.0[i];
+                self.san_access(addr, 1, AccessKind::PlainWrite, || {
+                    self.device.arena.store(addr, vals.0[i])
+                });
             }
         }
     }
@@ -935,64 +942,72 @@ impl<'d> Warp<'d> {
     #[inline]
     pub fn read_word(&self, addr: Addr) -> u32 {
         self.charge_transactions(1);
-        self.san_access(addr, 1, AccessKind::PlainRead);
-        self.device.arena.load(addr)
+        self.san_access(addr, 1, AccessKind::PlainRead, || {
+            self.device.arena.load(addr)
+        })
     }
 
     /// Single-word write issued by one lane. One transaction.
     #[inline]
     pub fn write_word(&self, addr: Addr, v: u32) {
         self.charge_transactions(1);
-        self.san_access(addr, 1, AccessKind::PlainWrite);
-        self.device.arena.store(addr, v);
+        self.san_access(addr, 1, AccessKind::PlainWrite, || {
+            self.device.arena.store(addr, v)
+        });
     }
 
     /// `atomicCAS` issued by one lane.
     #[inline]
     pub fn atomic_cas(&self, addr: Addr, expected: u32, new: u32) -> Result<u32, u32> {
         self.charge_atomics(1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.cas(addr, expected, new)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.cas(addr, expected, new)
+        })
     }
 
     /// `atomicExch` issued by one lane.
     #[inline]
     pub fn atomic_exchange(&self, addr: Addr, v: u32) -> u32 {
         self.charge_atomics(1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.exchange(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.exchange(addr, v)
+        })
     }
 
     /// `atomicAdd` issued by one lane.
     #[inline]
     pub fn atomic_add(&self, addr: Addr, v: u32) -> u32 {
         self.charge_atomics(1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_add(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_add(addr, v)
+        })
     }
 
     /// `atomicSub` issued by one lane.
     #[inline]
     pub fn atomic_sub(&self, addr: Addr, v: u32) -> u32 {
         self.charge_atomics(1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_sub(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_sub(addr, v)
+        })
     }
 
     /// `atomicOr` issued by one lane.
     #[inline]
     pub fn atomic_or(&self, addr: Addr, v: u32) -> u32 {
         self.charge_atomics(1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_or(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_or(addr, v)
+        })
     }
 
     /// `atomicAnd` issued by one lane.
     #[inline]
     pub fn atomic_and(&self, addr: Addr, v: u32) -> u32 {
         self.charge_atomics(1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_and(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_and(addr, v)
+        })
     }
 }
 

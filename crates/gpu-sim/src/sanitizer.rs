@@ -551,11 +551,12 @@ impl Sanitizer {
 
     // ---- the per-access classifier ----
 
-    /// Classify a contiguous warp access of `len` words at `base`.
-    /// `cursor` is the arena's current bump cursor (for the out-of-bounds
-    /// check). Called from every `Warp` memory accessor; never charges.
+    /// Classify a contiguous warp access of `len` words at `base`, and
+    /// perform it by calling `access`. `cursor` is the arena's current
+    /// bump cursor (for the out-of-bounds check). Called from every `Warp`
+    /// memory accessor; never charges.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_warp_access(
+    pub fn on_warp_access<R>(
         &self,
         st: &mut WarpRace,
         warp: u32,
@@ -564,7 +565,8 @@ impl Sanitizer {
         len: u32,
         kind: AccessKind,
         cursor: u64,
-    ) {
+        access: impl FnOnce() -> R,
+    ) -> R {
         let era = st.era;
         if self.cfg.memcheck {
             if base as u64 + len as u64 > cursor {
@@ -583,7 +585,7 @@ impl Sanitizer {
                         cursor
                     ),
                 });
-                return;
+                return access();
             }
             // Use-after-free: check each distinct slab the range touches.
             let first_slab = base & !(SLAB_WORDS as u32 - 1);
@@ -664,11 +666,14 @@ impl Sanitizer {
             }
         }
         if self.cfg.racecheck {
-            self.racecheck(st, warp, kernel, base, len, kind);
+            self.racecheck(st, warp, kernel, base, len, kind, access)
+        } else {
+            access()
         }
     }
 
-    fn racecheck(
+    #[allow(clippy::too_many_arguments)]
+    fn racecheck<R>(
         &self,
         st: &mut WarpRace,
         warp: u32,
@@ -676,35 +681,39 @@ impl Sanitizer {
         base: Addr,
         len: u32,
         kind: AccessKind,
-    ) {
+        access: impl FnOnce() -> R,
+    ) -> R {
         let era = st.era;
         st.epoch += 1;
         st.clock.insert(warp, st.epoch);
-        let first_slab = base & !(SLAB_WORDS as u32 - 1);
-        let last_slab = (base + len - 1) & !(SLAB_WORDS as u32 - 1);
+        // Every warp access is one aligned slab or one word, so one shard
+        // lock covers it. The access itself runs under that lock: were it
+        // to run after the lock dropped, a load could observe a value that
+        // another warp's CAS published after this shadow update, and the
+        // reader would walk into the published data without having joined
+        // the CAS's release — a false race.
+        let slab = base & !(SLAB_WORDS as u32 - 1);
+        assert!(
+            base + len <= slab + SLAB_WORDS as u32,
+            "warp access of {len} word(s) at {base:#x} straddles a slab boundary"
+        );
+        let mut shard = self.shards[(slab as usize >> 5) % N_SHARDS].lock();
         // Pass 1 — acquire: plain reads and atomics join every touched
         // word's sync clock *before* any conflict check, so that a slab
         // read that covers both a CAS-published link word and the data it
         // publishes sees the publication regardless of word order.
         if kind != AccessKind::PlainWrite {
-            let mut slab = first_slab;
-            while slab <= last_slab {
-                let shard = self.shards[(slab as usize >> 5) % N_SHARDS].lock();
-                if let Some(words) = shard.get(&slab) {
-                    let lo = base.max(slab);
-                    let hi = (base + len).min(slab + SLAB_WORDS as u32);
-                    for addr in lo..hi {
-                        let e = &words[(addr - slab) as usize];
-                        if e.era == era
-                            && !e.sync.is_empty()
-                            && st.sync_seen.get(&addr) != Some(&e.sync_vers)
-                        {
-                            clock_join(&mut st.clock, &e.sync);
-                            st.sync_seen.insert(addr, e.sync_vers);
-                        }
+            if let Some(words) = shard.get(&slab) {
+                for addr in base..base + len {
+                    let e = &words[(addr - slab) as usize];
+                    if e.era == era
+                        && !e.sync.is_empty()
+                        && st.sync_seen.get(&addr) != Some(&e.sync_vers)
+                    {
+                        clock_join(&mut st.clock, &e.sync);
+                        st.sync_seen.insert(addr, e.sync_vers);
                     }
                 }
-                slab += SLAB_WORDS as u32;
             }
         }
         // Pass 2 — conflict checks + shadow update.
@@ -713,13 +722,9 @@ impl Sanitizer {
             epoch: st.epoch,
             kernel,
         };
-        let mut slab = first_slab;
-        while slab <= last_slab {
-            let mut shard = self.shards[(slab as usize >> 5) % N_SHARDS].lock();
+        {
             let words = shard.entry(slab).or_insert_with(new_slab_words);
-            let lo = base.max(slab);
-            let hi = (base + len).min(slab + SLAB_WORDS as u32);
-            for addr in lo..hi {
+            for addr in base..base + len {
                 let e = &mut words[(addr - slab) as usize];
                 if e.era != era {
                     *e = WordShadow {
@@ -789,8 +794,8 @@ impl Sanitizer {
                     }
                 }
             }
-            slab += SLAB_WORDS as u32;
         }
+        access()
     }
 
     /// Called by the device at the end of every launch: under
@@ -832,6 +837,20 @@ mod tests {
         Sanitizer::new(SanitizerConfig::default())
     }
 
+    /// Classify a warp access below a 1024-word cursor, with no memory
+    /// behind it.
+    fn touch(
+        s: &Sanitizer,
+        st: &mut WarpRace,
+        warp: u32,
+        kernel: &'static str,
+        base: Addr,
+        len: u32,
+        kind: AccessKind,
+    ) {
+        s.on_warp_access(st, warp, kernel, base, len, kind, 1024, || ());
+    }
+
     #[test]
     fn init_bitmap_marks_and_tests_ranges() {
         let s = san();
@@ -852,9 +871,9 @@ mod tests {
         let s = san();
         s.mark_init_range(0, 32);
         let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "k", 0, 1, AccessKind::PlainWrite, 1024);
-        s.on_warp_access(&mut w0, 0, "k", 0, 1, AccessKind::PlainRead, 1024);
-        s.on_warp_access(&mut w0, 0, "k", 0, 1, AccessKind::PlainWrite, 1024);
+        touch(&s, &mut w0, 0, "k", 0, 1, AccessKind::PlainWrite);
+        touch(&s, &mut w0, 0, "k", 0, 1, AccessKind::PlainRead);
+        touch(&s, &mut w0, 0, "k", 0, 1, AccessKind::PlainWrite);
         assert_eq!(s.finding_count(), 0);
     }
 
@@ -864,8 +883,8 @@ mod tests {
         s.mark_init_range(0, 32);
         let mut w0 = WarpRace::new(1, 0);
         let mut w1 = WarpRace::new(1, 1);
-        s.on_warp_access(&mut w0, 0, "ka", 5, 1, AccessKind::PlainWrite, 1024);
-        s.on_warp_access(&mut w1, 1, "kb", 5, 1, AccessKind::PlainWrite, 1024);
+        touch(&s, &mut w0, 0, "ka", 5, 1, AccessKind::PlainWrite);
+        touch(&s, &mut w1, 1, "kb", 5, 1, AccessKind::PlainWrite);
         let f = s.findings();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::RaceWriteWrite);
@@ -884,15 +903,15 @@ mod tests {
         s.mark_init_range(0, 64);
         let mut w0 = WarpRace::new(1, 0);
         let mut w1 = WarpRace::new(1, 1);
-        s.on_warp_access(&mut w0, 0, "wr", 10, 1, AccessKind::PlainWrite, 1024);
-        s.on_warp_access(&mut w0, 0, "wr", 40, 1, AccessKind::Atomic, 1024);
-        s.on_warp_access(&mut w1, 1, "rd", 40, 1, AccessKind::PlainRead, 1024);
-        s.on_warp_access(&mut w1, 1, "rd", 10, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "wr", 10, 1, AccessKind::PlainWrite);
+        touch(&s, &mut w0, 0, "wr", 40, 1, AccessKind::Atomic);
+        touch(&s, &mut w1, 1, "rd", 40, 1, AccessKind::PlainRead);
+        touch(&s, &mut w1, 1, "rd", 10, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
 
         // A third warp that never touched the link word *does* race.
         let mut w2 = WarpRace::new(1, 2);
-        s.on_warp_access(&mut w2, 2, "rogue", 10, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w2, 2, "rogue", 10, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::RaceReadWrite);
     }
@@ -903,13 +922,13 @@ mod tests {
         s.mark_init_range(0, 32);
         let mut w0 = WarpRace::new(1, 0);
         let mut w1 = WarpRace::new(1, 1);
-        s.on_warp_access(&mut w0, 0, "a", 3, 1, AccessKind::Atomic, 1024);
-        s.on_warp_access(&mut w1, 1, "b", 3, 1, AccessKind::Atomic, 1024);
+        touch(&s, &mut w0, 0, "a", 3, 1, AccessKind::Atomic);
+        touch(&s, &mut w1, 1, "b", 3, 1, AccessKind::Atomic);
         assert_eq!(s.finding_count(), 0, "atomic vs atomic is whitelisted");
         let mut w2 = WarpRace::new(2, 0);
         let mut w3 = WarpRace::new(2, 1);
-        s.on_warp_access(&mut w2, 0, "a", 3, 1, AccessKind::Atomic, 1024);
-        s.on_warp_access(&mut w3, 1, "b", 3, 1, AccessKind::PlainWrite, 1024);
+        touch(&s, &mut w2, 0, "a", 3, 1, AccessKind::Atomic);
+        touch(&s, &mut w3, 1, "b", 3, 1, AccessKind::PlainWrite);
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::RaceWriteWrite);
     }
@@ -919,11 +938,11 @@ mod tests {
         let s = san();
         s.mark_init_range(0, 32);
         let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "ka", 7, 1, AccessKind::PlainWrite, 1024);
+        touch(&s, &mut w0, 0, "ka", 7, 1, AccessKind::PlainWrite);
         // Same word, different warp, but a later launch: the launch
         // boundary is a barrier.
         let mut w1 = WarpRace::new(2, 1);
-        s.on_warp_access(&mut w1, 1, "kb", 7, 1, AccessKind::PlainWrite, 1024);
+        touch(&s, &mut w1, 1, "kb", 7, 1, AccessKind::PlainWrite);
         assert_eq!(s.finding_count(), 0);
     }
 
@@ -931,10 +950,10 @@ mod tests {
     fn uninit_read_and_oob_are_flagged() {
         let s = san();
         let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "k", 9, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "k", 9, 1, AccessKind::PlainRead);
         assert_eq!(s.findings()[0].kind, FindingKind::UninitRead);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "k", 2000, 4, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "k", 2000, 4, AccessKind::PlainRead);
         assert_eq!(s.findings()[0].kind, FindingKind::OutOfBounds);
     }
 
@@ -947,21 +966,21 @@ mod tests {
         s.mark_init_range(0, 256);
         s.on_slab_alloc(64, "alloc_k", A1);
         let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 0);
         s.on_slab_free(64, "free_k", 1, A1);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         let f = s.findings();
         assert_eq!(f[0].kind, FindingKind::UseAfterFree);
         assert_eq!(f[0].other_kernel, "alloc_k");
         assert!(f[0].note.contains("free_k"));
         s.on_slab_drain(64);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.findings()[0].kind, FindingKind::UseAfterFree);
         s.on_slab_alloc(64, "alloc2", A1);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 0);
     }
 
@@ -975,11 +994,11 @@ mod tests {
         s.on_pin(A1, 3);
         s.on_slab_free(64, "free_k", 5, A1);
         let mut w0 = WarpRace::new(6, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
         // Dropping the guard withdraws the certificate.
         s.on_unpin(A1, 3);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1);
         let f = s.findings();
         assert_eq!(f[0].kind, FindingKind::UseAfterFree);
@@ -995,7 +1014,7 @@ mod tests {
         // A pin at era 7 postdates the free: it cannot resurrect the slab.
         s.on_pin(A1, 7);
         let mut w0 = WarpRace::new(8, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::UseAfterFree);
         s.on_unpin(A1, 7);
@@ -1013,7 +1032,7 @@ mod tests {
         // memory — the allocator only drains past every pin, so reaching
         // here means the protocol itself was violated.
         let mut w0 = WarpRace::new(5, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1);
         assert!(s.findings()[0].note.contains("recycled"));
         s.on_unpin(A1, 1);
@@ -1030,10 +1049,10 @@ mod tests {
         s.on_unpin(A1, 2);
         // One guard at era 2 is still live: the slab stays covered.
         let mut w0 = WarpRace::new(4, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
         s.on_unpin(A1, 2);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1);
     }
 
@@ -1049,13 +1068,13 @@ mod tests {
         s.on_pin(2, 3);
         s.on_slab_free(64, "free_k", 5, A1);
         let mut w0 = WarpRace::new(6, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1, "{:?}", s.findings());
         assert!(s.findings()[0].note.contains("unpinned read"));
         // An equally-old pin on the owning allocator does certify.
         s.on_pin(A1, 3);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        touch(&s, &mut w0, 0, "reader", 70, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
         s.on_unpin(2, 3);
         s.on_unpin(A1, 3);

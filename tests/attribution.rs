@@ -72,11 +72,11 @@ fn per_kernel_profile_is_executor_independent() {
     // different order than the sequential executor, a key can settle one
     // slab earlier/later in its chain, shifting later walks to it by a
     // slab (±1 transaction, ±2 ballots each), and a cross-warp duplicate
-    // race can move a group's two count-update atomics to a different
-    // group (±2 atomics each). Both are bounded by the handful of
-    // cross-warp duplicate keys per batch; we spec |Δ| ≤ max(16, 0.2 %)
-    // per kernel for those three counters and require exact equality for
-    // everything else.
+    // race can move a group's count-update atomic, and with it its warp's
+    // `changed_total` atomic, to another warp (±2 atomics each). Both are
+    // bounded by the handful of cross-warp duplicate keys per batch; we
+    // spec |Δ| ≤ max(16, 0.2 %) per kernel for those three counters and
+    // require exact equality for everything else.
     let bound = |seq: u64| 16u64.max(seq / 512);
     let within = |s: u64, t: u64| s.abs_diff(t) <= bound(s);
     let seq = workload(ExecPolicy::Sequential);

@@ -10,10 +10,14 @@
 
 use dynamic_graphs_gpu::algos;
 use dynamic_graphs_gpu::baselines::{Csr, FaimGraph, Hornet};
-use dynamic_graphs_gpu::gpu_sim::{Addr, Device, DeviceConfig, FindingKind, SanitizerConfig};
+use dynamic_graphs_gpu::gpu_sim::{
+    Addr, Device, DeviceConfig, ExecPolicy, FindingKind, Lanes, SanitizerConfig, NULL_ADDR,
+    SLAB_WORDS,
+};
 use dynamic_graphs_gpu::graph_gen::{fixtures, mirror};
 use dynamic_graphs_gpu::prelude::*;
 use dynamic_graphs_gpu::slab_alloc::SlabAllocator;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn sanitized_device(words: usize) -> Device {
     Device::with_config(DeviceConfig::new(words).with_sanitizer(SanitizerConfig::default()))
@@ -153,6 +157,61 @@ fn dyn_graph_update_churn_is_sanitizer_clean() {
     g.delete_vertices(&[3, 17, 41]);
     g.validate().expect("churned graph validates");
     assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
+/// Clean fixture under real concurrency: one warp grows a chain, writing
+/// each slab before it CAS-links it, while a second warp chases the links
+/// as they appear. Every read of a new slab is ordered after its write by
+/// the link's CAS, so no interleaving of the two threads may be flagged.
+#[test]
+fn chain_chased_while_it_is_cas_linked_is_clean() {
+    const LINKS: u32 = 1024;
+    const NEXT: u32 = 31;
+    let slab_words = SLAB_WORDS as u32;
+    let dev = Device::with_config(
+        DeviceConfig::new(1 << 16)
+            .with_exec_policy(ExecPolicy::Threaded(2))
+            .with_sanitizer(SanitizerConfig::default()),
+    );
+    let chain = dev.alloc_words((LINKS + 1) as usize * SLAB_WORDS, SLAB_WORDS);
+    dev.launch_warps("chain_init", 1, |warp| {
+        warp.write_slab(chain, &Lanes::splat(NULL_ADDR));
+    });
+    let grown = AtomicBool::new(false);
+    dev.launch_warps("grow_and_chase", 2, |warp| {
+        if warp.warp_id() == 0 {
+            for k in 1..=LINKS {
+                let slab = chain + k * slab_words;
+                let words = Lanes::from_fn(|i| if i == NEXT as usize { NULL_ADDR } else { k });
+                warp.write_slab(slab, &words);
+                // Pace the grower so the chaser waits at the tail, where
+                // each new link races its next read.
+                for _ in 0..4 {
+                    warp.read_slab(chain);
+                }
+                assert!(warp
+                    .atomic_cas(slab - slab_words + NEXT, NULL_ADDR, slab)
+                    .is_ok());
+            }
+            grown.store(true, Ordering::Release);
+        } else {
+            // The idle bound ends the chase should the executor run the
+            // grower only after this warp.
+            let (mut at, mut idle) = (chain, 0);
+            while idle < 1 << 16 {
+                let next = warp.read_slab(at).get(NEXT as usize);
+                if next != NULL_ADDR {
+                    (at, idle) = (next, 0);
+                } else if grown.load(Ordering::Acquire) {
+                    break;
+                } else {
+                    idle += 1;
+                    std::thread::yield_now();
+                }
+            }
+        }
+    });
+    assert_eq!(dev.sanitizer_findings(), vec![]);
 }
 
 /// The sanitizer charges nothing: an identical allocator-heavy workload

@@ -12,11 +12,14 @@
 //!
 //! Every numeric cell of every table becomes a metric keyed
 //! `table-id/row-key/column-header` (the row key is the row's first
-//! cell, suffixed `#n` on repeats). Column headers classify the cell:
+//! cell, suffixed `#n` on repeats). A column header's trailing
+//! whitespace-separated token is its unit, and the unit classifies the
+//! cell (whole tokens only: `sessions` is not a column of `ns`):
 //!
-//! - **throughput** (higher is better): header contains `/s`, `MUps`, or
-//!   `speedup` — a drop below `baseline * (1 - tolerance)` fails.
-//! - **latency** (lower is better): header contains `ms`, `us`, `ns`, or
+//! - **throughput** (higher is better): the unit ends in `/s` or is
+//!   `MUps`, or the header starts with the word `speedup` — a drop below
+//!   `baseline * (1 - tolerance)` fails.
+//! - **latency** (lower is better): the unit is `ms`, `us`, `ns`, or
 //!   `latency` — a rise above `baseline * (1 + tolerance)` fails.
 //! - anything else (row counts, hit counts, journal depths) is recorded
 //!   for context but never gated.
@@ -41,9 +44,10 @@
 //! (same ratchet discipline as `lint-allow.txt`), unless
 //! `--allow-regression` records the regression deliberately.
 //!
-//! `--selftest` proves the gate has teeth: it first gates the artifacts
-//! normally (must pass), then perturbs the first gated throughput
-//! baseline beyond tolerance in memory and asserts the gate now fails.
+//! `--selftest` proves the gate has teeth: it checks the column
+//! classifier against [`CLASS_CASES`], gates the artifacts normally
+//! (must pass), then perturbs the first gated throughput baseline beyond
+//! tolerance in memory and asserts the gate now fails.
 
 use gpu_sim::Json;
 use std::path::{Path, PathBuf};
@@ -63,17 +67,39 @@ enum Class {
     Info,
 }
 
+/// Headers the classifier must get right, checked by `--selftest`.
+const CLASS_CASES: [(&str, Class); 7] = [
+    ("queries Mq/s", Class::Throughput),
+    ("updates MUps", Class::Throughput),
+    ("speedup vs 1 shard", Class::Throughput),
+    ("total modeled ms", Class::Latency),
+    ("p99 us", Class::Latency),
+    ("sessions", Class::Info),
+    ("journal depth", Class::Info),
+];
+
 impl Class {
+    /// Classify a column by its header's trailing unit token.
     fn of(header: &str) -> Class {
         let h = header.to_ascii_lowercase();
-        if h.contains("/s") || h.contains("mups") || h.contains("speedup") {
-            Class::Throughput
-        } else if h.contains("ms") || h.contains("us") || h.contains("ns") || h.contains("latency")
+        let unit = h.split_whitespace().last().unwrap_or("");
+        if unit.ends_with("/s") || unit == "mups" || h.split_whitespace().next() == Some("speedup")
         {
+            Class::Throughput
+        } else if matches!(unit, "ms" | "us" | "ns" | "latency") {
             Class::Latency
         } else {
             Class::Info
         }
+    }
+
+    /// Every [`CLASS_CASES`] header the classifier gets wrong.
+    fn misclassified() -> Vec<String> {
+        CLASS_CASES
+            .iter()
+            .filter(|(h, want)| Class::of(h) != *want)
+            .map(|(h, want)| format!("{h:?} is {}, want {}", Class::of(h).as_str(), want.as_str()))
+            .collect()
     }
 
     fn as_str(self) -> &'static str {
@@ -329,6 +355,19 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
+    if selftest {
+        let wrong = Class::misclassified();
+        for w in &wrong {
+            eprintln!("bench-gate: selftest FAILED: column {w}");
+        }
+        if wrong.is_empty() {
+            println!(
+                "bench-gate: selftest OK ({} column headers classified by unit token)",
+                CLASS_CASES.len()
+            );
+        }
+        failed = !wrong.is_empty();
+    }
     for file in &files {
         let text = match std::fs::read_to_string(file) {
             Ok(t) => t,
@@ -493,5 +532,15 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Class;
+
+    #[test]
+    fn columns_are_classified_by_trailing_unit_token() {
+        assert_eq!(Class::misclassified(), Vec::<String>::new());
     }
 }
