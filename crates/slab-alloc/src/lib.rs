@@ -7,9 +7,15 @@
 //! - The pool grows in **super-blocks** of 32 **memory blocks**; each memory
 //!   block holds 32 slabs tracked by one 32-bit occupancy bitmap word that
 //!   lives in device memory.
-//! - **Allocation** is warp-cooperative: a warp hashes to a memory block,
-//!   reads its bitmap, picks a free bit, and claims it with `atomicOr`;
-//!   on conflict or a full block it rehashes to another block.
+//! - **Allocation** is warp-cooperative: a warp reads a device-resident
+//!   cursor naming the super-block that most recently had room, loads that
+//!   super-block's 32 bitmaps in one coalesced 128 B read (one word per
+//!   lane), ballots for the blocks with a free bit and claims one bit with
+//!   `atomicOr`, retrying within the line on a lost race. A full
+//!   super-block sends the warp on to the next one, wrapping around; a
+//!   warp that finds room past the cursor `atomicCAS`es it forward. The
+//!   pool grows by one super-block only once every super-block was
+//!   scanned and found full.
 //! - **Freeing** clears the bit with `atomicAnd`. The paper frees collision
 //!   slabs only during vertex deletion.
 //!
@@ -231,6 +237,9 @@ struct SuperBlock {
 /// lock; the hot path takes a read lock only.
 pub struct SlabAllocator {
     supers: RwLock<Vec<SuperBlock>>,
+    /// Device word holding the index of the super-block that most
+    /// recently had room; allocation scans start there.
+    cursor: Addr,
     allocated: AtomicU64,
     freed: AtomicU64,
     quarantine: Mutex<Quarantine>,
@@ -243,8 +252,11 @@ impl SlabAllocator {
     /// Create an allocator with capacity for `initial_slabs` (rounded up to
     /// whole super-blocks, minimum one).
     pub fn new(dev: &Device, initial_slabs: usize) -> Self {
+        let cursor = dev.alloc_words(1, 1);
+        zero_words(dev, cursor, 1);
         let alloc = SlabAllocator {
             supers: RwLock::new(Vec::new()),
+            cursor,
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
             quarantine: Mutex::new(Quarantine::default()),
@@ -252,30 +264,32 @@ impl SlabAllocator {
             id: NEXT_ALLOC_ID.fetch_add(1, Ordering::Relaxed),
         };
         let supers_needed = initial_slabs.div_ceil(SLABS_PER_SUPER).max(1);
-        for _ in 0..supers_needed {
+        for seen in 0..supers_needed {
             alloc
-                .try_grow(dev)
+                .try_grow(dev, seen)
                 .unwrap_or_else(|e| panic!("initial slab pool allocation failed: {e}"));
         }
         alloc
     }
 
-    /// Add one super-block to the pool. The bitmaps and slab storage come
-    /// from a *single* arena allocation so a capacity failure can never
-    /// strand a half-built super-block (the bump arena cannot free).
-    fn try_grow(&self, dev: &Device) -> Result<(), OomError> {
+    /// Add one super-block to the pool, unless it already grew past the
+    /// `seen` super-blocks the caller found full (a racing warp grew it
+    /// first). The bitmaps and slab storage come from a *single* arena
+    /// allocation so a capacity failure can never strand a half-built
+    /// super-block (the bump arena cannot free).
+    fn try_grow(&self, dev: &Device, seen: usize) -> Result<(), OomError> {
         let mut supers = self.supers.write();
+        if supers.len() > seen {
+            return Ok(());
+        }
         // Layout: 32 bitmap words, then the 1024 slabs. BLOCKS_PER_SUPER is
         // a multiple of SLAB_WORDS' alignment, so both regions stay
         // slab-aligned.
         let bitmaps =
             dev.try_alloc_words(BLOCKS_PER_SUPER + SLABS_PER_SUPER * SLAB_WORDS, SLAB_WORDS)?;
         let slabs = bitmaps + BLOCKS_PER_SUPER as u32;
-        // Bitmaps start all-free. cudaMalloc'd memory is garbage, so write
-        // the zeros explicitly (the equivalent of the cudaMemset SlabAlloc
-        // issues at pool setup) instead of leaning on the arena's Rust-side
-        // zero-init — initcheck treats unwritten words as uninitialised.
-        dev.arena().fill(bitmaps, BLOCKS_PER_SUPER, 0);
+        // Bitmaps start all-free.
+        zero_words(dev, bitmaps, BLOCKS_PER_SUPER);
         supers.push(SuperBlock { bitmaps, slabs });
         if let Some(p) = dev.profiler() {
             let words = (supers.len() * (SLABS_PER_SUPER * SLAB_WORDS + BLOCKS_PER_SUPER)) as u64;
@@ -320,69 +334,66 @@ impl SlabAllocator {
     /// Warp-cooperative allocation of one slab.
     ///
     /// The returned address is slab-aligned and its 32 words are initialised
-    /// to [`SLAB_INIT_WORD`]. Charges: one transaction per bitmap probe, one
-    /// atomic per claim attempt, one transaction for the init write.
+    /// to [`SLAB_INIT_WORD`]. The warp reads the device-resident cursor
+    /// (one transaction) and scans super-blocks from the one it names: per
+    /// super-block one coalesced read of its 32-bitmap line and one ballot
+    /// for the blocks with a free bit. The claim is one `atomicOr`, the
+    /// init write one transaction, and a warp that found room past the
+    /// cursor moves it with one `atomicCAS`. An allocation whose cursor
+    /// super-block has room therefore costs 3 transactions and 1 atomic.
     ///
     /// This is the fallible allocation site of the whole stack: it consults
     /// the device's fault plan (once per call) and propagates capacity
     /// failures from pool growth. On `Err` nothing was claimed — the pool
     /// and every table built on it are untouched.
     pub fn try_allocate(&self, warp: &Warp) -> Result<Addr, AllocError> {
-        warp.device().fault_check()?;
-        self.drain_quarantine(warp.device());
+        let dev = warp.device();
+        dev.fault_check()?;
+        self.drain_quarantine(dev);
+        let cursor = warp.read_word(self.cursor) as usize;
+        let mut from = cursor;
+        let mut scanned = 0u64;
         loop {
-            let n_supers = self.supers.read().len();
-            // Probe sequence seeded by warp id and a per-call nonce derived
-            // from the allocation counter, mimicking SlabAlloc's hashed
-            // resident-block strategy.
-            let nonce = self.allocated.load(Ordering::Relaxed) as u32;
-            let total_blocks = n_supers * BLOCKS_PER_SUPER;
-            for attempt in 0..total_blocks.max(1) {
-                let h = hash_block(warp.warp_id(), nonce, attempt as u32);
-                let block_idx = (h as usize) % total_blocks;
-                let (sb, block_in_super) = {
-                    let supers = self.supers.read();
-                    (
-                        supers[block_idx / BLOCKS_PER_SUPER],
-                        block_idx % BLOCKS_PER_SUPER,
-                    )
+            let supers = self.supers.read();
+            let n_supers = supers.len();
+            for step in 0..n_supers {
+                let idx = (from + step) % n_supers;
+                scanned += 1;
+                let Some(addr) = claim_in(warp, supers[idx]) else {
+                    continue;
                 };
-                let bitmap_addr = sb.bitmaps + block_in_super as u32;
-                let mut bitmap = warp.read_word(bitmap_addr);
-                while bitmap != u32::MAX {
-                    let slot = (!bitmap).trailing_zeros();
-                    // The claim is speculative: a sequential executor never
-                    // issues a failing atomicOr (it always sees the current
-                    // bitmap), so a lost race must not be charged.
+                drop(supers);
+                if idx != cursor {
+                    // A lost CAS means another warp already moved the
+                    // cursor; a sequential executor never loses it.
                     warp.begin_attempt();
-                    let prev = warp.atomic_or(bitmap_addr, 1 << slot);
-                    if prev & (1 << slot) == 0 {
-                        warp.commit_attempt();
-                        // Claimed. Initialise the slab to the EMPTY pattern.
-                        self.allocated.fetch_add(1, Ordering::Relaxed);
-                        let slab_idx = block_in_super * SLABS_PER_BLOCK + slot as usize;
-                        let addr = sb.slabs + (slab_idx * SLAB_WORDS) as u32;
-                        if let Some(san) = warp.device().sanitizer() {
-                            san.on_slab_alloc(addr, warp.kernel_name(), self.id);
-                        }
-                        if let Some(p) = warp.device().profiler() {
-                            p.metrics().gauge("slab_alloc.live_slabs").add(1);
-                            p.instant(
-                                "slab_alloc",
-                                format!("slab {addr:#x} by {}", warp.kernel_name()),
-                            );
-                        }
-                        let init = gpu_sim::Lanes::splat(SLAB_INIT_WORD);
-                        warp.write_slab(addr, &init);
-                        return Ok(addr);
+                    match warp.atomic_cas(self.cursor, cursor as u32, idx as u32) {
+                        Ok(_) => warp.commit_attempt(),
+                        Err(_) => warp.abort_attempt(),
                     }
-                    // Raced: another warp took the bit; retry on updated map.
-                    warp.abort_attempt();
-                    bitmap = prev | (1 << slot);
                 }
+                self.allocated.fetch_add(1, Ordering::Relaxed);
+                if let Some(san) = dev.sanitizer() {
+                    san.on_slab_alloc(addr, warp.kernel_name(), self.id);
+                }
+                if let Some(p) = dev.profiler() {
+                    p.metrics().record("slab_alloc.supers_scanned", scanned);
+                    p.metrics().gauge("slab_alloc.live_slabs").add(1);
+                    p.instant(
+                        "slab_alloc",
+                        format!("slab {addr:#x} by {}", warp.kernel_name()),
+                    );
+                }
+                // Initialise the slab to the EMPTY pattern.
+                let init = gpu_sim::Lanes::splat(SLAB_INIT_WORD);
+                warp.write_slab(addr, &init);
+                return Ok(addr);
             }
-            // Every probed block was full: grow the pool and retry.
-            self.try_grow(warp.device())?;
+            drop(supers);
+            // Every super-block was full: grow the pool (unless a racing
+            // warp already did) and scan on from the first new super-block.
+            self.try_grow(dev, n_supers)?;
+            from = n_supers;
         }
     }
 
@@ -608,17 +619,42 @@ impl SlabAllocator {
     }
 }
 
-/// Mixing hash for the probe sequence (xorshift-multiply).
-#[inline]
-fn hash_block(warp_id: u32, nonce: u32, attempt: u32) -> u32 {
-    let mut x = warp_id
-        .wrapping_mul(0x9E37_79B9)
-        .wrapping_add(nonce.wrapping_mul(0x85EB_CA6B))
-        .wrapping_add(attempt.wrapping_mul(0xC2B2_AE35));
-    x ^= x >> 16;
-    x = x.wrapping_mul(0x7FEB_352D);
-    x ^= x >> 15;
-    x
+/// Zero `n` words at pool setup. cudaMalloc'd memory is garbage, so write
+/// the zeros explicitly (the equivalent of the cudaMemset SlabAlloc issues)
+/// instead of leaning on the arena's Rust-side zero-init — initcheck treats
+/// unwritten words as uninitialised.
+fn zero_words(dev: &Device, base: Addr, n: usize) {
+    dev.arena().fill(base, n, 0);
+}
+
+/// Claim one free slab of `sb`, or `None` if every block is full: one
+/// coalesced read of the super-block's 32 bitmaps (lane *i* holds block
+/// *i*'s word), then a ballot for the blocks with a free bit and an
+/// `atomicOr` on one of them. Warps start their pick at their own lane so
+/// concurrent warps spread across blocks. A lost race retries within the
+/// line already read; its ballot and atomic are speculative, so a
+/// sequential executor — which never loses — charges the same.
+fn claim_in(warp: &Warp, sb: SuperBlock) -> Option<Addr> {
+    let mut line = warp.read_slab(sb.bitmaps);
+    let first = warp.warp_id() % BLOCKS_PER_SUPER as u32;
+    loop {
+        warp.begin_attempt();
+        let open = warp.ballot(&line.map(|bitmap| bitmap != u32::MAX));
+        if open == 0 {
+            warp.commit_attempt();
+            return None;
+        }
+        let block = (first + open.rotate_right(first).trailing_zeros()) % BLOCKS_PER_SUPER as u32;
+        let bit = 1 << (!line.get(block as usize)).trailing_zeros();
+        let prev = warp.atomic_or(sb.bitmaps + block, bit);
+        if prev & bit == 0 {
+            warp.commit_attempt();
+            let slab_idx = block * SLABS_PER_BLOCK as u32 + bit.trailing_zeros();
+            return Some(sb.slabs + slab_idx * SLAB_WORDS as u32);
+        }
+        warp.abort_attempt();
+        line.set(block as usize, prev | bit);
+    }
 }
 
 #[cfg(test)]
@@ -916,20 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_allocation_is_disjoint() {
-        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
-        let alloc = SlabAllocator::new(&dev, 4096);
-        let seen = parking_lot::Mutex::new(std::collections::HashSet::new());
-        dev.launch_warps("alloc_test", 64, |warp| {
-            for _ in 0..16 {
-                let a = alloc.allocate(warp);
-                assert!(seen.lock().insert(a), "duplicate slab under threads");
-            }
-        });
-        assert_eq!(alloc.live_slabs(), 64 * 16);
-    }
-
-    #[test]
     fn profiler_observes_allocator_events() {
         use gpu_sim::{DeviceConfig, ProfilerConfig};
         let dev = Device::with_config(
@@ -969,7 +991,91 @@ mod tests {
             alloc.allocate(warp);
         });
         let d = dev.counters().snapshot().delta(&before);
-        assert!(d.transactions >= 2, "bitmap probe + slab init");
-        assert!(d.atomics >= 1, "bitmap claim");
+        assert_eq!(d.transactions, 3, "cursor + bitmap line + slab init");
+        assert_eq!(d.atomics, 1, "bitmap claim only: the cursor did not move");
+        assert_eq!(d.ballots, 1, "one ballot over the bitmap line");
+    }
+
+    #[test]
+    fn full_pool_grows_only_when_every_slab_is_taken() {
+        let dev = Device::new(1 << 16);
+        let alloc = SlabAllocator::new(&dev, 2 * SLABS_PER_SUPER);
+        let cap = alloc.capacity_slabs();
+        assert_eq!(cap, 2 * SLABS_PER_SUPER);
+        let slabs = parking_lot::Mutex::new(Vec::new());
+        with_warp(&dev, |warp| {
+            *slabs.lock() = (0..cap).map(|_| alloc.allocate(warp)).collect();
+        });
+        assert_eq!(alloc.capacity_slabs(), cap, "filling the pool grew it");
+        // Free one slab at a time — first block, mid first super-block,
+        // last block of the last super-block — and let a later launch drain
+        // it out of quarantine: the next allocation must find that slab.
+        for victim in [0, SLABS_PER_SUPER / 2 + 7, cap - 1].map(|i| slabs.lock()[i]) {
+            with_warp(&dev, |warp| alloc.free(warp, victim).unwrap());
+            let got = parking_lot::Mutex::new(0);
+            with_warp(&dev, |warp| *got.lock() = alloc.allocate(warp));
+            assert_eq!(got.into_inner(), victim, "free slab skipped");
+            assert_eq!(alloc.capacity_slabs(), cap, "grew with a slab free");
+        }
+        with_warp(&dev, |warp| {
+            alloc.allocate(warp);
+        });
+        assert_eq!(
+            alloc.capacity_slabs(),
+            cap + SLABS_PER_SUPER,
+            "a full pool grows by exactly one super-block"
+        );
+        assert_eq!(alloc.live_slabs() as usize, cap + 1);
+    }
+
+    #[test]
+    fn concurrent_allocation_is_disjoint() {
+        // 2.5 super-blocks of allocations from 64 warps: every address is
+        // distinct and racing warps grow the pool to the sequential size.
+        let run = |policy| {
+            let dev = Device::with_policy(1 << 20, policy);
+            let alloc = SlabAllocator::new(&dev, SLABS_PER_SUPER);
+            let seen = parking_lot::Mutex::new(std::collections::HashSet::new());
+            dev.launch_warps("alloc_test", 64, |warp| {
+                for _ in 0..40 {
+                    let a = alloc.allocate(warp);
+                    assert!(seen.lock().insert(a), "duplicate slab {a:#x}");
+                }
+            });
+            assert_eq!(seen.lock().len(), 64 * 40);
+            alloc.capacity_slabs()
+        };
+        let seq = run(ExecPolicy::Sequential);
+        assert_eq!(seq, 3 * SLABS_PER_SUPER);
+        assert_eq!(run(ExecPolicy::Threaded(4)), seq);
+    }
+
+    #[test]
+    fn profiler_records_super_blocks_scanned() {
+        use gpu_sim::{DeviceConfig, ProfilerConfig};
+        let dev = Device::with_config(
+            DeviceConfig::new(1 << 17).with_profiler(ProfilerConfig::default()),
+        );
+        let alloc = SlabAllocator::new(&dev, 1);
+        let cap = alloc.capacity_slabs();
+        with_warp(&dev, |warp| {
+            // The first super-block fills; the allocation after that scans
+            // it, grows, and lands in the second.
+            for _ in 0..=cap {
+                alloc.allocate(warp);
+            }
+        });
+        let p = dev.profiler().unwrap();
+        let scanned = p
+            .metric_summaries()
+            .into_iter()
+            .find(|s| s.name == "slab_alloc.supers_scanned")
+            .expect("supers-scanned histogram missing");
+        assert_eq!(
+            scanned.count,
+            cap as u64 + 1,
+            "one observation per allocation"
+        );
+        assert_eq!(scanned.max, 2, "full super-block, then the grown one");
     }
 }
