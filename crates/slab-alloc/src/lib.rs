@@ -1031,7 +1031,8 @@ mod tests {
     #[test]
     fn concurrent_allocation_is_disjoint() {
         // 2.5 super-blocks of allocations from 64 warps: every address is
-        // distinct and racing warps grow the pool to the sequential size.
+        // distinct, the live-slab counter matches, and racing warps grow the
+        // pool to the sequential size.
         let run = |policy| {
             let dev = Device::with_policy(1 << 20, policy);
             let alloc = SlabAllocator::new(&dev, SLABS_PER_SUPER);
@@ -1043,6 +1044,8 @@ mod tests {
                 }
             });
             assert_eq!(seen.lock().len(), 64 * 40);
+            assert_eq!(alloc.live_slabs(), 64 * 40);
+            assert_eq!(alloc.total_allocated(), 64 * 40);
             alloc.capacity_slabs()
         };
         let seq = run(ExecPolicy::Sequential);
