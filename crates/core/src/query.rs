@@ -148,13 +148,39 @@ impl DynGraph {
             }
         });
     }
+
+    /// Whole-graph adjacency scan: invoke `f` with every stored edge as
+    /// ⟨src, dst, weight⟩ (weight 0 for set graphs). One `edge_scan`
+    /// kernel with one warp per vertex slot; each warp reads its vertex's
+    /// descriptor and walks the slab lists exactly as
+    /// [`Self::for_each_neighbor`] does, so the scan is snapshot-consistent
+    /// per bucket. Order is vertex order under the sequential executor and
+    /// unspecified otherwise; within a vertex it is table order.
+    pub fn for_each_edge(&self, pin: &ReadGuard, f: &mut (dyn FnMut(u32, u32, u32) + Send)) {
+        self.check_pin(pin);
+        let f = parking_lot::Mutex::new(f);
+        let cap = self.dict.capacity();
+        self.dev.launch_warps("edge_scan", cap as usize, |warp| {
+            let u = warp.warp_id();
+            let Some(desc) = self.dict.desc(warp, u) else {
+                return;
+            };
+            let mut f = f.lock();
+            match self.config.kind {
+                TableKind::Map => desc.for_each_pair(warp, |v, w| f(u, v, w)),
+                TableKind::Set => desc.for_each_key(warp, |v| f(u, v, 0)),
+            }
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::GraphConfig;
     use crate::graph::{DynGraph, Edge};
-    use gpu_sim::{Device, DeviceConfig, FindingKind, Lanes, SanitizerConfig, FULL_MASK};
+    use gpu_sim::{
+        Device, DeviceConfig, ExecPolicy, FindingKind, Lanes, SanitizerConfig, FULL_MASK,
+    };
     use std::collections::HashSet;
 
     fn graph_with_star() -> DynGraph {
@@ -332,6 +358,91 @@ mod tests {
         let mut n = g.neighbors(&pin, 1);
         n.sort_unstable();
         assert_eq!(n, vec![(2, 0), (3, 0)]);
+    }
+
+    /// 96 vertex slots, one-bucket tables on the first 64 and a lazily
+    /// built one on 70: hubs 0–3 chain several slabs, deletes leave
+    /// tombstones in hub chains, and vertex 2 is deleted outright.
+    fn churned(config: GraphConfig, policy: ExecPolicy) -> DynGraph {
+        let mut g = DynGraph::with_uniform_buckets(config, 64, 1);
+        g.device_mut().set_policy(policy);
+        let mut edges: Vec<Edge> = (0..4)
+            .flat_map(|s| (4..64).map(move |d| Edge::weighted(s, d, 1000 * s + d)))
+            .collect();
+        edges.extend((4..64).map(|v| Edge::weighted(v, (v + 1 + v % 5) % 64, v)));
+        edges.push(Edge::weighted(70, 5, 7));
+        g.insert_edges(&edges);
+        g.delete_edges(
+            &(4..64)
+                .step_by(3)
+                .map(|d| Edge::new(0, d))
+                .collect::<Vec<_>>(),
+        );
+        g.delete_edges(&(20..40).map(|d| Edge::new(1, d)).collect::<Vec<_>>());
+        g.delete_vertices(&[2]);
+        g
+    }
+
+    fn scanned(g: &DynGraph) -> Vec<(u32, u32, u32)> {
+        let mut out = Vec::new();
+        g.for_each_edge(&g.pin_read(), &mut |u, v, w| out.push((u, v, w)));
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn edge_scan_is_one_launch_with_a_warp_per_vertex_slot() {
+        let g = churned(GraphConfig::directed_map(96), ExecPolicy::Sequential);
+        let pin = g.pin_read();
+        let stats = g.stats(&pin);
+        assert!(
+            stats.tables.slabs > stats.tables.buckets,
+            "multi-slab chains"
+        );
+        let mut n = 0u64;
+        let c = g.kernel_delta("edge_scan", || g.for_each_edge(&pin, &mut |_, _, _| n += 1));
+        assert_eq!(n, g.num_edges());
+        assert_eq!((c.launches, c.warps), (1, 96));
+        // One descriptor read per slot (two where the entry's first two
+        // words straddle a 128 B segment), every slab of every chain, and
+        // one validated hop per link.
+        let desc_reads: u64 = (0..96).map(|v| 1 + u64::from(3 * v % 32 == 31)).sum();
+        assert_eq!(
+            c.transactions,
+            desc_reads + 2 * stats.tables.slabs - stats.tables.buckets
+        );
+        assert_eq!(c.atomics, 0);
+        assert_eq!(c.words_allocated, 0);
+    }
+
+    #[test]
+    fn edge_scan_yields_the_union_of_per_vertex_neighbors() {
+        for config in [GraphConfig::directed_map(96), GraphConfig::directed_set(96)] {
+            let g = churned(config, ExecPolicy::Sequential);
+            let pin = g.pin_read();
+            let mut want: Vec<(u32, u32, u32)> = (0..g.vertex_capacity())
+                .flat_map(|u| {
+                    g.neighbors(&pin, u)
+                        .into_iter()
+                        .map(move |(v, w)| (u, v, w))
+                })
+                .collect();
+            want.sort_unstable();
+            assert!(want.iter().any(|&(u, _, _)| u == 70), "lazy table scanned");
+            assert!(
+                !want.iter().any(|&(u, v, _)| u == 2 || v == 2),
+                "vertex 2 gone"
+            );
+            assert_eq!(want.len() as u64, g.num_edges());
+            assert_eq!(scanned(&g), want, "{:?}", config.kind);
+            let threaded = churned(config, ExecPolicy::Threaded(4));
+            assert_eq!(
+                scanned(&threaded),
+                want,
+                "{:?} under Threaded(4)",
+                config.kind
+            );
+        }
     }
 
     #[test]

@@ -104,6 +104,11 @@ impl ShardedGraph {
     /// are always directed, because the two half-edges of an undirected
     /// pair can have different owners.
     pub fn new(n_shards: usize, config: GraphConfig) -> Self {
+        Self::with_exec_policy(n_shards, config, ExecPolicy::Sequential)
+    }
+
+    /// [`Self::new`] with every shard device running `policy`.
+    pub fn with_exec_policy(n_shards: usize, config: GraphConfig, policy: ExecPolicy) -> Self {
         assert!(n_shards >= 1, "need at least one shard");
         let per_shard_words = (config.device_words / n_shards).max(1 << 14);
         let group = DeviceGroup::new(
@@ -111,7 +116,7 @@ impl ShardedGraph {
             DeviceConfig {
                 initial_words: per_shard_words,
                 capacity_words: config.device_capacity_words,
-                policy: ExecPolicy::Sequential,
+                policy,
                 ..DeviceConfig::default()
             },
         );
@@ -396,6 +401,13 @@ impl ShardedGraph {
     /// (`DynGraph::validate`), then the cross-shard audit — every cut edge
     /// present on both owners, no orphan or misrouted replicas, and the
     /// global counts reconcile (`Σ per-shard edges = owned + cut`).
+    ///
+    /// The audit is two concurrent rounds over the shards: one
+    /// `edge_scan` per shard classifies every stored edge as owned, cut or
+    /// replica, and one `edges_exist` batch per shard answers every
+    /// membership probe the scans aimed at it. Of several violations the
+    /// one with the smallest `(src, dst, shard)` is reported, so the error
+    /// does not depend on the executor.
     pub fn validate(&self) -> Result<(), ShardedValidationError> {
         let n = self.shards.len();
         let ctx = self.dispatch_ctx();
@@ -414,50 +426,63 @@ impl ShardedGraph {
         // blocks; only a concurrent reset would, and the audit must not
         // race one anyway).
         let guards: Vec<_> = self.shards.iter().map(RwLock::read).collect();
-        // One era pin per shard for the whole audit walk.
+        // One era pin per shard for the whole audit.
         let pins: Vec<ReadGuard> = guards.iter().map(|g| g.pin_read()).collect();
-        let mut cut = 0u64;
-        let mut replicas = 0u64;
-        let mut owned = 0u64;
-        let mut stored = 0u64;
-        for u in 0..self.n_vertices {
-            let su = shard_of(u, n);
-            for (s, shard) in guards.iter().enumerate() {
-                let neighbors = shard.neighbor_ids(&pins[s], u);
-                stored += neighbors.len() as u64;
-                if s == su {
-                    owned += neighbors.len() as u64;
-                    // Primary side: every cut edge must have its replica.
-                    for v in neighbors {
-                        let sv = shard_of(v, n);
-                        if sv != su {
-                            cut += 1;
-                            if !guards[sv].edge_exists(&pins[sv], u, v) {
-                                return Err(ShardedValidationError::MissingReplica {
-                                    src: u,
-                                    dst: v,
-                                    src_shard: su,
-                                    dst_shard: sv,
-                                });
-                            }
-                        }
-                    }
+        let scans = self.group.dispatch(|s, dev| {
+            let _trace = dev.trace_scope(ctx);
+            let mut scan = AuditScan::new(n);
+            guards[s].for_each_edge(&pins[s], &mut |u, v, _| scan.classify(s, n, u, v));
+            scan
+        });
+        let mut total = AuditScan::new(n);
+        for scan in scans {
+            total.merge(scan);
+        }
+        let probes = std::mem::take(&mut total.probes);
+        let answers = self.group.dispatch(|t, dev| {
+            let _trace = dev.trace_scope(ctx);
+            guards[t].edges_exist(&pins[t], &probes[t])
+        });
+        for (t, (pairs, found)) in probes.iter().zip(answers).enumerate() {
+            for (&(u, v), hit) in pairs.iter().zip(found) {
+                if hit {
+                    continue;
+                }
+                // A probe on the dst's owner looks for a primary's
+                // replica; one on the src's owner backs a replica.
+                let (su, sv) = (shard_of(u, n), shard_of(v, n));
+                if t == sv {
+                    total.flag(
+                        (u, v, su),
+                        ShardedValidationError::MissingReplica {
+                            src: u,
+                            dst: v,
+                            src_shard: su,
+                            dst_shard: sv,
+                        },
+                    );
                 } else {
-                    // Replica side: must be dst-owned here and backed by a
-                    // live primary on the src's owner.
-                    for v in neighbors {
-                        replicas += 1;
-                        if shard_of(v, n) != s || !guards[su].edge_exists(&pins[su], u, v) {
-                            return Err(ShardedValidationError::OrphanReplica {
-                                src: u,
-                                dst: v,
-                                shard: s,
-                            });
-                        }
-                    }
+                    total.flag(
+                        (u, v, sv),
+                        ShardedValidationError::OrphanReplica {
+                            src: u,
+                            dst: v,
+                            shard: sv,
+                        },
+                    );
                 }
             }
         }
+        if let Some((_, err)) = total.first {
+            return Err(err);
+        }
+        let AuditScan {
+            owned,
+            cut,
+            replicas,
+            stored,
+            ..
+        } = total;
         if replicas != cut || stored != owned + cut {
             return Err(ShardedValidationError::CountMismatch {
                 owned,
@@ -467,6 +492,80 @@ impl ShardedGraph {
             });
         }
         Ok(())
+    }
+}
+
+/// One shard's share of the cross-shard audit (or, merged, the whole
+/// audit's): edge tallies, the violations the scan proves on its own, and
+/// the membership probes it aims at each shard.
+#[derive(Default)]
+struct AuditScan {
+    owned: u64,
+    cut: u64,
+    replicas: u64,
+    stored: u64,
+    /// The violation with the smallest `(src, dst, shard holding the
+    /// offending entry)` found so far.
+    first: Option<((u32, u32, usize), ShardedValidationError)>,
+    /// `probes[t]`: edges shard `t` must store for the audit to pass.
+    probes: Vec<Vec<(u32, u32)>>,
+}
+
+impl AuditScan {
+    fn new(n_shards: usize) -> Self {
+        AuditScan {
+            probes: vec![Vec::new(); n_shards],
+            ..AuditScan::default()
+        }
+    }
+
+    /// Classify edge ⟨u,v⟩ stored on shard `s` of `n`. A primary of a cut
+    /// edge needs its replica on the dst's owner; a replica must sit on
+    /// the dst's owner and needs its primary on the src's owner.
+    fn classify(&mut self, s: usize, n: usize, u: u32, v: u32) {
+        let (su, sv) = (shard_of(u, n), shard_of(v, n));
+        self.stored += 1;
+        if s == su {
+            self.owned += 1;
+            if sv != su {
+                self.cut += 1;
+                self.probes[sv].push((u, v));
+            }
+        } else {
+            self.replicas += 1;
+            if sv == s {
+                self.probes[su].push((u, v));
+            } else {
+                self.flag(
+                    (u, v, s),
+                    ShardedValidationError::OrphanReplica {
+                        src: u,
+                        dst: v,
+                        shard: s,
+                    },
+                );
+            }
+        }
+    }
+
+    fn merge(&mut self, other: AuditScan) {
+        self.owned += other.owned;
+        self.cut += other.cut;
+        self.replicas += other.replicas;
+        self.stored += other.stored;
+        if let Some((key, err)) = other.first {
+            self.flag(key, err);
+        }
+        for (mine, theirs) in self.probes.iter_mut().zip(other.probes) {
+            mine.extend(theirs);
+        }
+    }
+
+    /// Keep `err` if it sorts before the violation kept so far.
+    fn flag(&mut self, key: (u32, u32, usize), err: ShardedValidationError) {
+        if self.first.as_ref().is_none_or(|(k, _)| key < *k) {
+            self.first = Some((key, err));
+        }
     }
 }
 
@@ -1109,20 +1208,18 @@ impl<'g> BatchRouter<'g> {
     /// shard's journal checkpoint from the shard's *current* contents
     /// (primaries and replicas alike), so graphs assembled via
     /// [`ShardedGraph::bulk_build`] — which bypasses the router — are
-    /// still rebuildable.
+    /// still rebuildable. One `edge_scan` launch per shard.
     pub fn with_policy(graph: &'g ShardedGraph, policy: RetryPolicy) -> Self {
         let n = graph.num_shards();
         let states = (0..n)
             .map(|s| {
                 let mut st = ShardState::default();
                 let g = graph.shard(s);
-                let pin = g.pin_read();
-                for u in 0..graph.vertex_capacity() {
-                    for v in g.neighbor_ids(&pin, u) {
-                        let w = g.edge_weight(&pin, u, v).unwrap_or(1);
-                        st.journal.checkpoint.insert((u, v), w);
-                    }
-                }
+                let checkpoint = &mut st.journal.checkpoint;
+                checkpoint.reserve(g.num_edges() as usize);
+                g.for_each_edge(&g.pin_read(), &mut |u, v, w| {
+                    checkpoint.insert((u, v), w);
+                });
                 Mutex::new(st)
             })
             .collect();
@@ -2678,5 +2775,65 @@ mod tests {
             router.edge_exists_live(&fresh, internal.0, internal.1),
             (true, ReadQuality::Exact)
         );
+    }
+
+    #[test]
+    fn set_kind_router_seeds_and_rebuilds() {
+        let g = ShardedGraph::bulk_build(2, GraphConfig::undirected_set(16), &[Edge::new(1, 2)]);
+        let router = BatchRouter::new(&g);
+        let qry: Vec<(u32, u32)> = (0..16).flat_map(|u| (0..16).map(move |v| (u, v))).collect();
+        let before = (g.edges_exist(&qry), g.num_edges());
+        assert_eq!(before.1, 2, "both halves of the undirected edge");
+        let victim = g.owner_of(1);
+        g.group()
+            .device(victim)
+            .set_fault_plan(FaultPlan::device_lost_at(1));
+        router.submit(0, Update::Insert(Edge::new(1, 2)));
+        router.flush();
+        assert_eq!(router.health(victim), ShardHealth::Down);
+        assert_eq!(router.rebuild_downed().expect("rebuild"), vec![victim]);
+        assert_eq!((g.edges_exist(&qry), g.num_edges()), before);
+    }
+
+    #[test]
+    fn seeding_and_audit_cost_one_scan_per_shard() {
+        let edges: Vec<Edge> = pairs(400, 7, 256)
+            .into_iter()
+            .map(|(u, v)| Edge::weighted(u, v, u ^ v))
+            .collect();
+        let g = ShardedGraph::bulk_build(2, cfg(256), &edges);
+        let launches = || -> Vec<u64> {
+            g.group()
+                .devices()
+                .iter()
+                .map(|d| d.counters().snapshot().launches)
+                .collect()
+        };
+        let before = launches();
+        let router = BatchRouter::new(&g);
+        let seeded = launches();
+        for s in 0..2 {
+            assert_eq!(seeded[s] - before[s], 1, "shard {s}: one edge_scan");
+            // The checkpoint holds exactly the shard's stored edges,
+            // weights included.
+            let shard = g.shard(s);
+            let pin = shard.pin_read();
+            let stored: HashMap<(u32, u32), u32> = (0..256)
+                .flat_map(|u| {
+                    shard
+                        .neighbors(&pin, u)
+                        .into_iter()
+                        .map(move |(v, w)| ((u, v), w))
+                })
+                .collect();
+            assert_eq!(router.states[s].lock().journal.checkpoint, stored);
+        }
+        let seeded = launches();
+        g.validate().expect("audit");
+        for (s, after) in launches().into_iter().enumerate() {
+            // Cut edges run both ways, so both shards answer probes:
+            // validate, edge_scan and edges_exist.
+            assert_eq!(after - seeded[s], 3, "shard {s}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! ceiling must recover via `retry_suffix` while the other shards proceed.
 
 use router::{shard_of, BatchRouter, ShardedGraph, ShardedValidationError, Update};
-use slabgraph::{DynGraph, Edge, FaultPlan, GraphConfig};
+use slabgraph::{DynGraph, Edge, ExecPolicy, FaultPlan, GraphConfig};
 
 const N_VERTICES: u32 = 512;
 
@@ -214,5 +214,66 @@ fn audit_detects_orphan_replicas() {
             assert_eq!((s, d, shard), (src, dst, stranger));
         }
         other => panic!("audit should flag the stray replica, got {other:?}"),
+    }
+}
+
+#[test]
+fn audit_detects_missing_replicas() {
+    let g = ShardedGraph::new(4, config());
+    let src = 1u32;
+    let dst = (2..N_VERTICES)
+        .find(|&v| shard_of(v, 4) != shard_of(src, 4))
+        .expect("some cut edge from 1");
+    g.insert_edges(&[Edge::new(src, dst), Edge::new(3, 4)]);
+    g.validate().expect("clean after normal inserts");
+
+    // Drop the replica straight from the dst's owner: the primary on the
+    // src's owner is now unbacked.
+    let dst_shard = shard_of(dst, 4);
+    g.shard(dst_shard).delete_edges(&[Edge::new(src, dst)]);
+    assert_eq!(
+        g.validate(),
+        Err(ShardedValidationError::MissingReplica {
+            src,
+            dst,
+            src_shard: shard_of(src, 4),
+            dst_shard,
+        })
+    );
+}
+
+#[test]
+fn audit_reports_the_smallest_violation_under_any_executor() {
+    let cut_dsts: Vec<u32> = (2..N_VERTICES)
+        .filter(|&v| shard_of(v, 4) != shard_of(1, 4))
+        .take(2)
+        .collect();
+    let (orphan_dst, missing_dst) = (cut_dsts[0], cut_dsts[1]);
+    let strangers: Vec<usize> = (0..4)
+        .filter(|&s| s != shard_of(1, 4) && s != shard_of(orphan_dst, 4))
+        .collect();
+    for policy in [ExecPolicy::Sequential, ExecPolicy::Threaded(4)] {
+        let g = ShardedGraph::with_exec_policy(4, config(), policy);
+        let rounds = stream(0xA0D1, 1, 800);
+        g.insert_edges(&rounds[0].ins);
+        g.insert_edges(&[Edge::new(1, missing_dst)]);
+        g.validate().expect("clean after normal inserts");
+        // Three violations: a missing replica of 1→missing_dst, and a
+        // stray 1→orphan_dst on both strangers. The smallest
+        // (src, dst, shard) is the stray on the lower stranger.
+        g.shard(shard_of(missing_dst, 4))
+            .delete_edges(&[Edge::new(1, missing_dst)]);
+        for &s in strangers.iter().rev() {
+            g.shard(s).insert_edges(&[Edge::new(1, orphan_dst)]);
+        }
+        assert_eq!(
+            g.validate(),
+            Err(ShardedValidationError::OrphanReplica {
+                src: 1,
+                dst: orphan_dst,
+                shard: strangers[0],
+            }),
+            "{policy:?}"
+        );
     }
 }
