@@ -122,10 +122,12 @@ impl VertexDict {
         if base == NULL_ADDR {
             return None;
         }
+        // Same transient zero bucket count as in `desc`: a lazy install
+        // publishes the base word before the count.
         Some(TableDesc {
             kind: self.kind,
             base,
-            num_buckets: dev.arena().load(e + 1),
+            num_buckets: dev.arena().load(e + 1).max(1),
         })
     }
 

@@ -101,7 +101,8 @@ impl DynGraph {
             let dsts: Vec<u32> = work.iter().map(|e| e.dst).collect();
             let src_buf = self.try_upload(&srcs, u32::MAX)?;
             let dst_buf = self.try_upload(&dsts, u32::MAX)?;
-            let weight_buf = if self.config.kind == TableKind::Map {
+            // Only map inserts read weights; deletes match keys alone.
+            let weight_buf = if op == EdgeOp::Insert && self.config.kind == TableKind::Map {
                 let ws: Vec<u32> = work.iter().map(|e| e.weight).collect();
                 Some(self.try_upload(&ws, 0)?)
             } else {
@@ -494,6 +495,33 @@ mod tests {
         let c = g.kernel_delta("edge_delete", || changed = g.delete_edges(&batch));
         assert_eq!(changed, 32);
         assert_eq!((c.warps, c.atomics), (2, 32 + 4 + 1));
+    }
+
+    #[test]
+    fn map_claims_cost_one_atomic_per_new_pair() {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(16), 16, 1);
+        let (fresh, _) = two_warp_batch();
+
+        // 32 fresh pairs over 4 sources: one pair CAS per claimed
+        // ⟨key, value⟩ slot, 4 per-group count atomics and one
+        // `changed_total` atomic.
+        let mut changed = 0;
+        let c = g.kernel_delta("edge_insert", || changed = g.insert_edges(&fresh));
+        assert_eq!(changed, 32);
+        assert_eq!((c.warps, c.atomics), (1, 32 + 4 + 1));
+
+        // Re-inserting them replaces each weight with one exchange and
+        // changes no count.
+        let c = g.kernel_delta("edge_insert", || changed = g.insert_edges(&fresh));
+        assert_eq!(changed, 0);
+        assert_eq!((c.warps, c.atomics), (1, 32));
+
+        // Deletes stage no weights: the warp reads its source and
+        // destination lines, one descriptor per group and one slab per
+        // delete (every table is a single slab here).
+        let c = g.kernel_delta("edge_delete", || changed = g.delete_edges(&fresh));
+        assert_eq!(changed, 32);
+        assert_eq!(c.transactions, 2 + 4 + 32);
     }
 
     #[test]

@@ -965,6 +965,24 @@ impl<'d> Warp<'d> {
         })
     }
 
+    /// 64-bit `atomicCAS` over the 8-byte-aligned word pair at `addr`
+    /// (even) and `addr + 1`, issued by one lane: both words are swapped
+    /// together or not at all. `expected` and `new` list the words in
+    /// address order. One atomic, like any other single-lane atomic.
+    /// Panics if `addr` is odd.
+    #[inline]
+    pub fn atomic_cas_pair(
+        &self,
+        addr: Addr,
+        expected: [u32; 2],
+        new: [u32; 2],
+    ) -> Result<[u32; 2], [u32; 2]> {
+        self.charge_atomics(1);
+        self.san_access(addr, 2, AccessKind::Atomic, || {
+            self.device.arena.cas_pair(addr, expected, new)
+        })
+    }
+
     /// `atomicExch` issued by one lane.
     #[inline]
     pub fn atomic_exchange(&self, addr: Addr, v: u32) -> u32 {
@@ -1127,6 +1145,67 @@ mod tests {
         };
         assert_eq!(run(ExecPolicy::Sequential), 10_000);
         assert_eq!(run(ExecPolicy::Threaded(4)), 10_000);
+    }
+
+    #[test]
+    fn cas_pair_costs_one_atomic() {
+        let dev = Device::new(1024);
+        let p = dev.alloc_words(2, 2);
+        dev.arena().fill(p, 2, 0);
+        let before = dev.counters().snapshot();
+        dev.launch_warps("pair", 1, |warp| {
+            assert_eq!(warp.atomic_cas_pair(p, [0, 0], [1, 2]), Ok([0, 0]));
+            assert_eq!(warp.atomic_cas_pair(p, [0, 0], [3, 4]), Err([1, 2]));
+        });
+        let d = dev.counters().snapshot().delta(&before);
+        assert_eq!((d.atomics, d.transactions), (2, 0));
+    }
+
+    /// Racing 64-bit pair CASes and 32-bit adds on the same cells lose no
+    /// update: each pair CAS bumps both words, each add bumps one.
+    #[test]
+    fn threaded_pair_cas_and_word_adds_lose_no_update() {
+        const CELLS: u32 = 4;
+        const ROUNDS: u32 = 200;
+        let dev = Device::with_policy(1024, ExecPolicy::Threaded(4));
+        let p = dev.alloc_words(2 * CELLS as usize, 2);
+        dev.arena().fill(p, 2 * CELLS as usize, 0);
+        dev.launch_warps("mixed", 16, |warp| {
+            for r in 0..ROUNDS {
+                let cell = p + 2 * (r % CELLS);
+                match warp.warp_id() % 3 {
+                    0 => {
+                        let mut seen = [warp.read_word(cell), warp.read_word(cell + 1)];
+                        while let Err(now) =
+                            warp.atomic_cas_pair(cell, seen, [seen[0] + 1, seen[1] + 1])
+                        {
+                            seen = now;
+                        }
+                    }
+                    1 => {
+                        warp.atomic_add(cell, 1);
+                    }
+                    _ => {
+                        warp.atomic_add(cell + 1, 1);
+                    }
+                }
+            }
+        });
+        // Warps 0..16 by id mod 3: 6 pair warps, 5 low-word, 5 high-word.
+        let per_cell = ROUNDS / CELLS;
+        for c in 0..CELLS {
+            let cell = p + 2 * c;
+            assert_eq!(
+                dev.arena().load(cell),
+                (6 + 5) * per_cell,
+                "low word of cell {c}"
+            );
+            assert_eq!(
+                dev.arena().load(cell + 1),
+                (6 + 5) * per_cell,
+                "high word of cell {c}"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! run on. Addresses are plain `u32` word indices, so a "device pointer"
 //! fits in one lane register exactly as in the paper's CUDA implementation.
 //!
+//! Words live in 64-bit cells of two (the even address is the low half),
+//! so an 8-byte-aligned word pair can be swapped by one 64-bit CAS
+//! ([`DeviceArena::cas_pair`]) — the single `atomicCAS` SlabHash claims a
+//! ⟨key, value⟩ slot with. Every 32-bit operation acts on its half of a
+//! cell with a 64-bit atomic and leaves the other half intact; no memory is
+//! ever accessed atomically at two sizes.
+//!
 //! Growth is lock-free for readers: the arena is a table of lazily
 //! allocated fixed-size segments; allocation bumps a cursor and publishes
 //! new segments with a CAS. Because slabs are 32-word aligned and segments
@@ -12,13 +19,15 @@
 
 use crate::fault::OomError;
 use crate::sanitizer::Sanitizer;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// log2 of the segment size in words (2^20 words = 4 MiB per segment).
 const SEGMENT_SHIFT: u32 = 20;
 /// Words per segment.
 pub const SEGMENT_WORDS: usize = 1 << SEGMENT_SHIFT;
+/// 64-bit cells per segment (two words each).
+const SEGMENT_CELLS: usize = SEGMENT_WORDS / 2;
 /// Maximum number of segments (=> 16 GiB address space, ample for benches).
 const MAX_SEGMENTS: usize = 4096;
 
@@ -31,9 +40,39 @@ pub type Addr = u32;
 /// Sentinel for "null device pointer".
 pub const NULL_ADDR: Addr = u32::MAX;
 
+/// Bit offset of `addr`'s word within its cell.
+#[inline]
+fn shift(addr: Addr) -> u32 {
+    (addr & 1) * 32
+}
+
+/// The word `addr` names within `cell`.
+#[inline]
+fn half(cell: u64, addr: Addr) -> u32 {
+    (cell >> shift(addr)) as u32
+}
+
+/// `cell` with `addr`'s word replaced by `v`.
+#[inline]
+fn with_half(cell: u64, addr: Addr, v: u32) -> u64 {
+    let s = shift(addr);
+    (cell & !(u64::from(u32::MAX) << s)) | (u64::from(v) << s)
+}
+
+/// A word pair as one cell: `pair[0]` is the even (low) word.
+#[inline]
+fn pack(pair: [u32; 2]) -> u64 {
+    u64::from(pair[0]) | (u64::from(pair[1]) << 32)
+}
+
+#[inline]
+fn unpack(cell: u64) -> [u32; 2] {
+    [cell as u32, (cell >> 32) as u32]
+}
+
 /// Growable atomic word arena modelling GPU global memory.
 pub struct DeviceArena {
-    segments: Box<[AtomicPtr<AtomicU32>]>,
+    segments: Box<[AtomicPtr<AtomicU64>]>,
     /// Bump cursor: next free word index.
     cursor: AtomicU64,
     /// Number of words for which segments have been published.
@@ -125,8 +164,8 @@ impl DeviceArena {
                 MAX_SEGMENTS * SEGMENT_WORDS
             );
             if self.segments[seg_idx].load(Ordering::Acquire).is_null() {
-                let seg: Box<[AtomicU32]> = (0..SEGMENT_WORDS).map(|_| AtomicU32::new(0)).collect();
-                let ptr = Box::into_raw(seg).cast::<AtomicU32>();
+                let seg: Box<[AtomicU64]> = (0..SEGMENT_CELLS).map(|_| AtomicU64::new(0)).collect();
+                let ptr = Box::into_raw(seg).cast::<AtomicU64>();
                 self.segments[seg_idx].store(ptr, Ordering::Release);
             }
             committed += SEGMENT_WORDS as u64;
@@ -178,32 +217,61 @@ impl DeviceArena {
         }
     }
 
-    /// Borrow the atomic word at `addr`.
+    /// The segment holding `addr`, and the index of `addr`'s cell in it.
     #[inline]
-    fn word(&self, addr: Addr) -> &AtomicU32 {
-        let seg_idx = (addr >> SEGMENT_SHIFT) as usize;
-        let off = (addr as usize) & (SEGMENT_WORDS - 1);
-        let ptr = self.segments[seg_idx].load(Ordering::Acquire);
+    fn segment(&self, addr: Addr) -> (*mut AtomicU64, usize) {
+        let ptr = self.segments[(addr >> SEGMENT_SHIFT) as usize].load(Ordering::Acquire);
         assert!(
             !ptr.is_null(),
             "access to uncommitted device address {addr:#x}"
         );
-        // SAFETY: segments are SEGMENT_WORDS long, published once with
-        // Release, never freed before the arena drops, and `off` is in
-        // bounds by construction.
+        (ptr, ((addr as usize) & (SEGMENT_WORDS - 1)) / 2)
+    }
+
+    /// Borrow the cell holding the word at `addr`.
+    #[inline]
+    fn cell(&self, addr: Addr) -> &AtomicU64 {
+        let (ptr, off) = self.segment(addr);
+        // SAFETY: segments are SEGMENT_CELLS long, published once with
+        // Release, never freed before the arena drops, and `off` is below
+        // SEGMENT_CELLS by construction.
         unsafe { &*ptr.add(off) }
+    }
+
+    /// Borrow the `n` cells holding the words from the even address `base`
+    /// on; they must lie in one segment.
+    #[inline]
+    fn cells(&self, base: Addr, n: usize) -> &[AtomicU64] {
+        debug_assert_eq!(base % 2, 0, "cell range starts on an odd word");
+        let (ptr, off) = self.segment(base);
+        assert!(off + n <= SEGMENT_CELLS, "cell range straddles a segment");
+        // SAFETY: as in `cell`, and `off + n` is in bounds (asserted above).
+        unsafe { std::slice::from_raw_parts(ptr.add(off), n) }
+    }
+
+    /// Atomically replace the word at `addr` by `f(old)`, leaving the
+    /// other half of its cell intact; returns `old`.
+    #[inline]
+    fn update(&self, addr: Addr, f: impl Fn(u32) -> u32) -> u32 {
+        let prev = self
+            .cell(addr)
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                Some(with_half(c, addr, f(half(c, addr))))
+            })
+            .unwrap_or_else(|c| c);
+        half(prev, addr)
     }
 
     /// Relaxed load of one word.
     #[inline]
     pub fn load(&self, addr: Addr) -> u32 {
-        self.word(addr).load(Ordering::Acquire)
+        half(self.cell(addr).load(Ordering::Acquire), addr)
     }
 
     /// Store one word.
     #[inline]
     pub fn store(&self, addr: Addr, v: u32) {
-        self.word(addr).store(v, Ordering::Release);
+        self.update(addr, |_| v);
         self.mark_init(addr);
     }
 
@@ -220,19 +288,52 @@ impl DeviceArena {
     /// `Err(actual)` on failure, like hardware `atomicCAS`.
     #[inline]
     pub fn cas(&self, addr: Addr, expected: u32, new: u32) -> Result<u32, u32> {
-        let r =
-            self.word(addr)
-                .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire);
-        if r.is_ok() {
-            self.mark_init(addr);
+        let r = self
+            .cell(addr)
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                (half(c, addr) == expected).then(|| with_half(c, addr, new))
+            });
+        match r {
+            Ok(_) => {
+                self.mark_init(addr);
+                Ok(expected)
+            }
+            Err(c) => Err(half(c, addr)),
         }
-        r
+    }
+
+    /// Compare-and-swap the aligned word pair at `addr` (even) and
+    /// `addr + 1` as one 64-bit atomic — hardware `atomicCAS` on an
+    /// `unsigned long long`. `expected` and `new` list the words in address
+    /// order; returns `Ok(expected)` on success or `Err(actual)`.
+    #[inline]
+    pub fn cas_pair(
+        &self,
+        addr: Addr,
+        expected: [u32; 2],
+        new: [u32; 2],
+    ) -> Result<[u32; 2], [u32; 2]> {
+        assert_eq!(addr % 2, 0, "word pair at {addr:#x} is not 8-byte aligned");
+        let r = self.cell(addr).compare_exchange(
+            pack(expected),
+            pack(new),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        match r {
+            Ok(_) => {
+                self.mark_init(addr);
+                self.mark_init(addr + 1);
+                Ok(expected)
+            }
+            Err(c) => Err(unpack(c)),
+        }
     }
 
     /// Atomic exchange.
     #[inline]
     pub fn exchange(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).swap(v, Ordering::AcqRel);
+        let r = self.update(addr, |_| v);
         self.mark_init(addr);
         r
     }
@@ -240,7 +341,7 @@ impl DeviceArena {
     /// Atomic add; returns the previous value.
     #[inline]
     pub fn fetch_add(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_add(v, Ordering::AcqRel);
+        let r = self.update(addr, |old| old.wrapping_add(v));
         self.mark_init(addr);
         r
     }
@@ -248,7 +349,7 @@ impl DeviceArena {
     /// Atomic sub; returns the previous value.
     #[inline]
     pub fn fetch_sub(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_sub(v, Ordering::AcqRel);
+        let r = self.update(addr, |old| old.wrapping_sub(v));
         self.mark_init(addr);
         r
     }
@@ -256,41 +357,65 @@ impl DeviceArena {
     /// Atomic bitwise OR; returns the previous value.
     #[inline]
     pub fn fetch_or(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_or(v, Ordering::AcqRel);
+        let r = self
+            .cell(addr)
+            .fetch_or(u64::from(v) << shift(addr), Ordering::AcqRel);
         self.mark_init(addr);
-        r
+        half(r, addr)
     }
 
     /// Atomic bitwise AND; returns the previous value.
     #[inline]
     pub fn fetch_and(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_and(v, Ordering::AcqRel);
+        // The other half ANDs with all-ones, so it is left as it was.
+        let r = self
+            .cell(addr)
+            .fetch_and(with_half(u64::MAX, addr, v), Ordering::AcqRel);
         self.mark_init(addr);
-        r
+        half(r, addr)
     }
 
     /// Read `SLAB_WORDS` consecutive words starting at the slab-aligned
-    /// `base` into an array (one coalesced 128 B read).
+    /// `base` into an array (one coalesced 128 B read). Whole cells are
+    /// loaded, so an aligned pair is never torn.
     #[inline]
     pub fn load_slab(&self, base: Addr) -> [u32; SLAB_WORDS] {
         debug_assert_eq!(base as usize % SLAB_WORDS, 0, "slab base misaligned");
-        std::array::from_fn(|i| self.load(base + i as u32))
+        let cells = self.cells(base, SLAB_WORDS / 2);
+        let mut words = [0u32; SLAB_WORDS];
+        for (pair, cell) in words.chunks_exact_mut(2).zip(cells) {
+            pair.copy_from_slice(&unpack(cell.load(Ordering::Acquire)));
+        }
+        words
     }
 
-    /// Write `SLAB_WORDS` consecutive words (one coalesced 128 B write).
+    /// Write `SLAB_WORDS` consecutive words (one coalesced 128 B write),
+    /// whole cells at a time.
     #[inline]
     pub fn store_slab(&self, base: Addr, words: &[u32; SLAB_WORDS]) {
         debug_assert_eq!(base as usize % SLAB_WORDS, 0, "slab base misaligned");
-        for (i, w) in words.iter().enumerate() {
-            self.store(base + i as u32, *w);
+        let cells = self.cells(base, SLAB_WORDS / 2);
+        for (pair, cell) in words.chunks_exact(2).zip(cells) {
+            cell.store(pack([pair[0], pair[1]]), Ordering::Release);
+        }
+        if let Some(s) = &self.san {
+            s.mark_init_range(base, SLAB_WORDS);
         }
     }
 
     /// Zero-fill `n` words from `base` (host-side helper for initialising
     /// freshly allocated regions with a sentinel pattern).
     pub fn fill(&self, base: Addr, n: usize, v: u32) {
-        for i in 0..n {
-            self.word(base + i as u32).store(v, Ordering::Release);
+        let (mut addr, end) = (u64::from(base), u64::from(base) + n as u64);
+        while addr < end {
+            if addr % 2 == 1 || addr + 1 == end {
+                self.update(addr as Addr, |_| v);
+                addr += 1;
+            } else {
+                self.cell(addr as Addr)
+                    .store(pack([v, v]), Ordering::Release);
+                addr += 2;
+            }
         }
         if let Some(s) = &self.san {
             s.mark_init_range(base, n);
@@ -308,8 +433,8 @@ impl DeviceArena {
     pub fn reset(&self) {
         let _g = self.grow_lock.lock();
         let cur = self.cursor.swap(0, Ordering::SeqCst);
-        for addr in 0..cur {
-            self.word(addr as Addr).store(0, Ordering::Release);
+        for addr in (0..cur).step_by(2) {
+            self.cell(addr as Addr).store(0, Ordering::Release);
         }
     }
 }
@@ -320,14 +445,14 @@ impl Drop for DeviceArena {
             let ptr = seg.load(Ordering::Acquire);
             if !ptr.is_null() {
                 // SAFETY: pointer came from Box::into_raw of a
-                // Box<[AtomicU32; SEGMENT_WORDS]>-shaped slice in
-                // ensure_committed; reconstitute and drop it. (A boxed
-                // slice, unlike a forgotten Vec, carries no capacity
-                // assumption to get wrong.)
+                // SEGMENT_CELLS-long boxed slice in ensure_committed;
+                // reconstitute and drop it. (A boxed slice, unlike a
+                // forgotten Vec, carries no capacity assumption to get
+                // wrong.)
                 unsafe {
                     drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
                         ptr,
-                        SEGMENT_WORDS,
+                        SEGMENT_CELLS,
                     )));
                 }
             }
@@ -383,6 +508,97 @@ mod tests {
         assert_eq!(a.fetch_or(p, 0b0100), 0b0011);
         assert_eq!(a.fetch_and(p, 0b0110), 0b0111);
         assert_eq!(a.load(p), 0b0110);
+    }
+
+    /// Every 32-bit operation on either half of a cell leaves the other
+    /// half as it was.
+    #[test]
+    fn word_ops_leave_the_other_half_intact() {
+        let a = DeviceArena::new(64);
+        let p = a.alloc_words(2, 2);
+        for (mine, other) in [(p, p + 1), (p + 1, p)] {
+            let sentinel = 0xA5A5_5A5A;
+            let ops: [(&str, &dyn Fn()); 8] = [
+                ("store", &|| a.store(mine, 0xFFFF_FFFF)),
+                ("cas", &|| {
+                    assert!(a.cas(mine, a.load(mine), 0xFFFF_FFFF).is_ok())
+                }),
+                ("failed cas", &|| assert!(a.cas(mine, 1, 2).is_err())),
+                ("exchange", &|| {
+                    a.exchange(mine, 0xFFFF_FFFF);
+                }),
+                ("fetch_add", &|| {
+                    a.fetch_add(mine, u32::MAX);
+                }),
+                ("fetch_sub", &|| {
+                    a.fetch_sub(mine, u32::MAX);
+                }),
+                ("fetch_or", &|| {
+                    a.fetch_or(mine, u32::MAX);
+                }),
+                ("fetch_and", &|| {
+                    a.fetch_and(mine, 0);
+                }),
+            ];
+            for (name, op) in ops {
+                a.store(mine, 7);
+                a.store(other, sentinel);
+                op();
+                assert_eq!(
+                    a.load(other),
+                    sentinel,
+                    "{name} on {mine} clobbered {other}"
+                );
+            }
+            // Carries and borrows stay inside the word.
+            a.store(mine, u32::MAX);
+            assert_eq!(a.fetch_add(mine, 1), u32::MAX);
+            assert_eq!(a.load(mine), 0);
+            assert_eq!(a.fetch_sub(mine, 1), 0);
+            assert_eq!(a.load(mine), u32::MAX);
+            assert_eq!(a.load(other), sentinel);
+        }
+    }
+
+    #[test]
+    fn cas_pair_swaps_both_words_or_neither() {
+        let a = DeviceArena::new(64);
+        let p = a.alloc_words(4, 2);
+        a.fill(p, 4, u32::MAX);
+        assert_eq!(
+            a.cas_pair(p + 2, [u32::MAX, u32::MAX], [3, 30]),
+            Ok([u32::MAX, u32::MAX])
+        );
+        assert_eq!((a.load(p + 2), a.load(p + 3)), (3, 30));
+        // Either word differing fails the whole swap.
+        assert_eq!(a.cas_pair(p + 2, [3, 31], [4, 40]), Err([3, 30]));
+        assert_eq!(a.cas_pair(p + 2, [4, 30], [4, 40]), Err([3, 30]));
+        assert_eq!((a.load(p + 2), a.load(p + 3)), (3, 30));
+        assert_eq!((a.load(p), a.load(p + 1)), (u32::MAX, u32::MAX));
+        // A slab read sees the pair in address order.
+        let q = a.alloc_words(SLAB_WORDS, SLAB_WORDS);
+        a.fill(q, SLAB_WORDS, 0);
+        a.cas_pair(q + 6, [0, 0], [11, 12]).unwrap();
+        let slab = a.load_slab(q);
+        assert_eq!((slab[6], slab[7]), (11, 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "not 8-byte aligned")]
+    fn cas_pair_rejects_an_odd_address() {
+        let a = DeviceArena::new(64);
+        let p = a.alloc_words(4, 2);
+        let _ = a.cas_pair(p + 1, [0, 0], [1, 1]);
+    }
+
+    #[test]
+    fn fill_handles_odd_ends() {
+        let a = DeviceArena::new(64);
+        let p = a.alloc_words(8, 2);
+        a.fill(p, 8, 1);
+        a.fill(p + 1, 5, 9);
+        let got: Vec<u32> = (0..8).map(|i| a.load(p + i)).collect();
+        assert_eq!(got, [1, 9, 9, 9, 9, 9, 1, 1]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! - **racecheck** — FastTrack-style vector clocks keyed by
 //!   (launch era, warp id). Every kernel launch is a global barrier
 //!   (both executors join all warps before returning), so each launch
-//!   opens a fresh era and only same-era accesses can race. Atomic RMWs
+//!   opens a fresh era and only same-era accesses can race (a word's sync
+//!   clock keeps its own era, so a launch from another host thread that
+//!   overlaps an older one cannot erase that launch's releases). Atomic RMWs
 //!   acquire *and* release a per-word synchronization clock; plain reads
 //!   acquire it too, modelling the GPU guarantee that a pointer published
 //!   by `atomicCAS` makes the data it points at visible through the data
@@ -257,7 +259,8 @@ struct Access {
     kernel: &'static str,
 }
 
-/// Racecheck shadow for one word, valid for a single era.
+/// Racecheck shadow for one word. The access records are valid for a
+/// single era; the sync clock carries its own era.
 #[derive(Debug, Default)]
 struct WordShadow {
     era: u64,
@@ -269,6 +272,8 @@ struct WordShadow {
     reads: HashMap<u32, Access>,
     /// Synchronization clock released into by atomics on this word.
     sync: VClock,
+    /// The era whose warps released into `sync`; only they may join it.
+    sync_era: u64,
     /// Bumped on every release into `sync`; pairs with
     /// [`WarpRace::sync_seen`] to skip redundant joins.
     sync_vers: u64,
@@ -686,16 +691,20 @@ impl Sanitizer {
         let era = st.era;
         st.epoch += 1;
         st.clock.insert(warp, st.epoch);
-        // Every warp access is one aligned slab or one word, so one shard
-        // lock covers it. The access itself runs under that lock: were it
+        // Every warp access is one aligned slab, one aligned word pair (a
+        // 64-bit atomic) or one word, so one shard lock covers it. The access itself runs under that lock: were it
         // to run after the lock dropped, a load could observe a value that
         // another warp's CAS published after this shadow update, and the
         // reader would walk into the published data without having joined
         // the CAS's release — a false race.
         let slab = base & !(SLAB_WORDS as u32 - 1);
         assert!(
-            base + len <= slab + SLAB_WORDS as u32,
-            "warp access of {len} word(s) at {base:#x} straddles a slab boundary"
+            match len {
+                1 => true,
+                2 => base.is_multiple_of(2),
+                _ => len == SLAB_WORDS as u32 && base == slab,
+            },
+            "warp access of {len} word(s) at {base:#x} is not one aligned slab, pair or word"
         );
         let mut shard = self.shards[(slab as usize >> 5) % N_SHARDS].lock();
         // Pass 1 — acquire: plain reads and atomics join every touched
@@ -706,7 +715,7 @@ impl Sanitizer {
             if let Some(words) = shard.get(&slab) {
                 for addr in base..base + len {
                     let e = &words[(addr - slab) as usize];
-                    if e.era == era
+                    if e.sync_era == era
                         && !e.sync.is_empty()
                         && st.sync_seen.get(&addr) != Some(&e.sync_vers)
                     {
@@ -727,10 +736,15 @@ impl Sanitizer {
             for addr in base..base + len {
                 let e = &mut words[(addr - slab) as usize];
                 if e.era != era {
-                    *e = WordShadow {
-                        era,
-                        ..WordShadow::default()
-                    };
+                    // A newer era's access retires the access records,
+                    // but not the sync clock: a launch issued from another
+                    // host thread (a pinned reader) can run while an older
+                    // launch is still in flight, and that launch's warps
+                    // must still acquire what their own atomics released.
+                    e.era = era;
+                    e.write = None;
+                    e.atomic = None;
+                    e.reads.clear();
                 }
                 let race = |kind2: FindingKind, rec: &Access, what: &str| {
                     self.report(Finding {
@@ -787,6 +801,10 @@ impl Sanitizer {
                         // Acquire + release on the word's sync clock. The
                         // acquire half already ran in pass 1; the release
                         // bumps the version so other warps re-join.
+                        if e.sync_era != era {
+                            e.sync.clear();
+                            e.sync_era = era;
+                        }
                         clock_join(&mut e.sync, &st.clock);
                         e.sync_vers += 1;
                         st.sync_seen.insert(addr, e.sync_vers);
@@ -912,6 +930,65 @@ mod tests {
         // A third warp that never touched the link word *does* race.
         let mut w2 = WarpRace::new(1, 2);
         touch(&s, &mut w2, 2, "rogue", 10, 1, AccessKind::PlainRead);
+        assert_eq!(s.finding_count(), 1);
+        assert_eq!(s.findings()[0].kind, FindingKind::RaceReadWrite);
+    }
+
+    #[test]
+    fn pair_atomic_is_one_access_over_both_words() {
+        // A pair CAS releases on both of its words: a reader acquiring the
+        // odd (value) word alone is ordered after the writer's plain write.
+        let s = san();
+        s.mark_init_range(0, 64);
+        let mut w0 = WarpRace::new(1, 0);
+        let mut w1 = WarpRace::new(1, 1);
+        touch(&s, &mut w0, 0, "claim", 10, 1, AccessKind::PlainWrite);
+        touch(&s, &mut w0, 0, "claim", 40, 2, AccessKind::Atomic);
+        touch(&s, &mut w1, 1, "rd", 41, 1, AccessKind::PlainRead);
+        touch(&s, &mut w1, 1, "rd", 10, 1, AccessKind::PlainRead);
+        assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
+        // A plain write to the even (key) word races with the pair atomic.
+        let mut w2 = WarpRace::new(1, 2);
+        touch(&s, &mut w2, 2, "rogue", 40, 1, AccessKind::PlainWrite);
+        assert_eq!(s.finding_count(), 1);
+        let f = &s.findings()[0];
+        assert_eq!(
+            (f.kind, f.other_kernel.as_str()),
+            (FindingKind::RaceWriteWrite, "claim")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not one aligned slab, pair or word")]
+    fn misaligned_pair_access_is_rejected() {
+        let s = san();
+        s.mark_init_range(0, 64);
+        let mut w0 = WarpRace::new(1, 0);
+        touch(&s, &mut w0, 0, "k", 41, 2, AccessKind::Atomic);
+    }
+
+    /// A pinned reader's launch (a newer era) reading a published link
+    /// while an older launch is still running must not erase the link's
+    /// release: the older launch's warps still acquire it.
+    #[test]
+    fn a_concurrent_newer_launch_keeps_an_older_launchs_publication() {
+        let s = san();
+        s.mark_init_range(0, 64);
+        let mut w3 = WarpRace::new(1, 3);
+        let mut w5 = WarpRace::new(1, 5);
+        let mut reader = WarpRace::new(2, 0);
+        // Warp 3 initialises slab 32 and links it from slab 0's last word.
+        touch(&s, &mut w3, 3, "insert", 32, 32, AccessKind::PlainWrite);
+        touch(&s, &mut w3, 3, "insert", 31, 1, AccessKind::Atomic);
+        // A reader launch walks slab 0 meanwhile.
+        touch(&s, &mut reader, 0, "reader", 0, 32, AccessKind::PlainRead);
+        // Warp 5 follows the link into the new slab.
+        touch(&s, &mut w5, 5, "insert", 0, 32, AccessKind::PlainRead);
+        touch(&s, &mut w5, 5, "insert", 32, 32, AccessKind::PlainRead);
+        assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
+        // Without the link read the same access still races.
+        let mut w6 = WarpRace::new(1, 6);
+        touch(&s, &mut w6, 6, "insert", 32, 1, AccessKind::PlainRead);
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::RaceReadWrite);
     }

@@ -23,7 +23,10 @@
 //! single coalesced transaction, ballots over its lanes, and elects lanes to
 //! perform atomics. Uniqueness under concurrent same-key insertion holds
 //! because claims always CAS the *first* empty slot of the chain and retry
-//! on failure: the loser re-reads the slab and finds the winner's key.
+//! on failure: the loser re-reads the slab and finds the winner's key. A map
+//! claims its ⟨key, value⟩ pair with one 64-bit CAS over the adjacent,
+//! 8-byte-aligned key and value words, as SlabHash does, so a new pair
+//! costs one atomic and is never visible half-written.
 //!
 //! Sentinels: [`EMPTY_KEY`] marks a never-used slot, [`TOMBSTONE_KEY`] a
 //! deleted one. Deleted slots are *not* reused by later insertions (paper
@@ -279,14 +282,15 @@ impl TableDesc {
                 MAP_KEY_LANES & (1 << i) != 0 && words.get(i) == EMPTY_KEY
             }));
             if let Some(lane) = gpu_sim::ffs(empties) {
-                // Claim the first empty slot; on a lost race re-read the
-                // slab (the winner may have inserted this very key).
-                if warp.atomic_cas(slab_addr + lane, EMPTY_KEY, key).is_ok() {
-                    // The value must be *atomically* published: a reader
-                    // that saw the claimed key in its own slab fetch may
-                    // load this value word concurrently, and the key CAS
-                    // orders the key word only.
-                    warp.atomic_exchange(slab_addr + lane + 1, value);
+                // Claim the first empty slot with one 64-bit CAS over the
+                // ⟨key, value⟩ pair, so no reader ever sees the key beside
+                // a value nobody stored. On a lost race re-read the slab
+                // (the winner may have inserted this very key).
+                let seen = [EMPTY_KEY, words.get(lane as usize + 1)];
+                if warp
+                    .atomic_cas_pair(slab_addr + lane, seen, [key, value])
+                    .is_ok()
+                {
                     warp.commit_attempt();
                     note_chain_at_insert(warp, depth);
                     return Ok(true);
@@ -476,8 +480,9 @@ impl TableDesc {
             // Stage 1: full-chain scan for the key, remembering the first
             // tombstone and the first empty slot.
             let mut slab_addr = self.bucket_addr(bucket_of(key, self.num_buckets));
-            let mut first_tombstone: Option<Addr> = None;
-            let mut first_empty: Option<Addr> = None;
+            // Candidate slots as (key address, value word seen there).
+            let mut first_tombstone: Option<(Addr, u32)> = None;
+            let mut first_empty: Option<(Addr, u32)> = None;
             let tail_addr;
             loop {
                 let words = warp.read_slab(slab_addr);
@@ -496,7 +501,7 @@ impl TableDesc {
                 }));
                 if first_tombstone.is_none() {
                     if let Some(lane) = gpu_sim::ffs(tombs) {
-                        first_tombstone = Some(slab_addr + lane);
+                        first_tombstone = Some((slab_addr + lane, words.get(lane as usize + 1)));
                     }
                 }
                 let empties = warp.ballot(&Lanes::from_fn(|i| {
@@ -504,7 +509,7 @@ impl TableDesc {
                 }));
                 if first_empty.is_none() {
                     if let Some(lane) = gpu_sim::ffs(empties) {
-                        first_empty = Some(slab_addr + lane);
+                        first_empty = Some((slab_addr + lane, words.get(lane as usize + 1)));
                     }
                 }
                 let next = words.get(NEXT_LANE);
@@ -519,18 +524,20 @@ impl TableDesc {
             // else grow the chain. Retry the whole operation on any lost
             // race (the winner may have inserted this very key).
             let target = first_tombstone.or(first_empty);
-            if let Some(addr) = target {
+            if let Some((addr, seen_value)) = target {
                 let expected = if first_tombstone.is_some() {
                     TOMBSTONE_KEY
                 } else {
                     EMPTY_KEY
                 };
-                if warp.atomic_cas(addr, expected, key).is_ok() {
-                    if is_map {
-                        // Atomic publication — same reasoning as the
-                        // EMPTY-claim path in `replace`.
-                        warp.atomic_exchange(addr + 1, value);
-                    }
+                // Maps claim ⟨key, value⟩ with one pair CAS, as in `replace`.
+                let claimed = if is_map {
+                    warp.atomic_cas_pair(addr, [expected, seen_value], [key, value])
+                        .is_ok()
+                } else {
+                    warp.atomic_cas(addr, expected, key).is_ok()
+                };
+                if claimed {
                     warp.commit_attempt();
                     return Ok(true);
                 }
@@ -923,6 +930,50 @@ mod tests {
             assert_eq!(stats.max_chain, 7);
         });
         assert_eq!(alloc.live_slabs(), 6, "6 collision slabs chained");
+    }
+
+    /// Counters `f` charges on one warp of a fresh launch.
+    fn charged(dev: &Device, f: impl Fn(&Warp) + Sync) -> gpu_sim::CounterSnapshot {
+        let before = dev.counters().snapshot();
+        on_warp(dev, f);
+        dev.counters().snapshot().delta(&before)
+    }
+
+    #[test]
+    fn new_pair_costs_one_slab_read_and_one_pair_cas() {
+        let (dev, alloc, t) = setup(TableKind::Map, 1);
+        on_warp(&dev, |warp| {
+            t.replace(warp, &alloc, 1, 10).unwrap();
+        });
+        let d = charged(&dev, |warp| {
+            assert!(t.replace(warp, &alloc, 2, 20).unwrap());
+        });
+        assert_eq!((d.transactions, d.atomics), (1, 1));
+        // Replacing the value of a present key is one exchange.
+        let d = charged(&dev, |warp| {
+            assert!(!t.replace(warp, &alloc, 2, 21).unwrap());
+        });
+        assert_eq!((d.transactions, d.atomics), (1, 1));
+        on_warp(&dev, |warp| assert_eq!(t.search(warp, 2), Some(21)));
+    }
+
+    #[test]
+    fn recycling_a_tombstone_costs_one_pair_cas() {
+        let (dev, alloc, t) = setup(TableKind::Map, 1);
+        on_warp(&dev, |warp| {
+            for k in 0..4 {
+                t.replace(warp, &alloc, k, 100 + k).unwrap();
+            }
+            t.delete(warp, 1);
+        });
+        let d = charged(&dev, |warp| {
+            assert!(t.insert_recycling(warp, &alloc, 9, 90).unwrap());
+        });
+        assert_eq!((d.transactions, d.atomics), (1, 1));
+        on_warp(&dev, |warp| {
+            assert_eq!(t.search(warp, 9), Some(90));
+            assert_eq!(t.stats(warp).tombstones, 0, "the tombstone was reused");
+        });
     }
 
     #[test]

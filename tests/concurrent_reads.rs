@@ -12,7 +12,7 @@
 //! not a prefix state is therefore a genuine snapshot violation, not an
 //! artifact of non-atomic multi-probe reads.
 
-use dynamic_graphs_gpu::gpu_sim::{Device, DeviceConfig, FindingKind, SanitizerConfig};
+use dynamic_graphs_gpu::gpu_sim::{Device, DeviceConfig, ExecPolicy, FindingKind, SanitizerConfig};
 use dynamic_graphs_gpu::prelude::*;
 use dynamic_graphs_gpu::slab_alloc::SlabAllocator;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -245,6 +245,119 @@ fn mixed_churn_with_pinned_readers_is_clean_and_valid() {
     });
     g.validate().unwrap();
     assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
+/// The weight a writer stores for ⟨src, dst⟩: known to every reader and
+/// never the EMPTY placeholder an unclaimed value word holds.
+fn weight_of(src: u32, dst: u32) -> u32 {
+    1 + (src.wrapping_mul(1_000_003) ^ dst.wrapping_mul(7919)) % 100_000
+}
+
+/// Linearizability of a map claim. `Threaded(4)` writers insert fresh
+/// keys, each with its known weight, into four single-bucket tables (every
+/// warp claims at the tails the readers are reading) while pinned readers
+/// walk those tables and look keys up. Every value a reader observes must
+/// be absent or the weight a writer stored for that key — never the EMPTY
+/// placeholder, nor (when tombstones are recycled) the weight a deleted key
+/// left behind in the slot.
+fn claims_are_atomic_to_pinned_readers(recycle: bool) {
+    const SOURCES: u32 = 4;
+    const PER_ROUND: u32 = 128;
+    const ROUNDS: u32 = 12;
+    let mut c = GraphConfig::directed_map(SOURCES + 2 * PER_ROUND * ROUNDS);
+    c.device_words = 1 << 20;
+    c.recycle_tombstones = recycle;
+    let mut g = DynGraph::new(c);
+    g.device_mut().set_policy(ExecPolicy::Threaded(4));
+    let batch = |first_dst: u32| -> Vec<Edge> {
+        (0..SOURCES * PER_ROUND)
+            .map(|i| {
+                let (src, dst) = (i % SOURCES, first_dst + i / SOURCES);
+                Edge::weighted(src, dst, weight_of(src, dst))
+            })
+            .collect()
+    };
+    if recycle {
+        // Fill the tables with keys that are then tombstoned, so the
+        // fresh keys below claim slots still holding an old weight.
+        let old: Vec<Edge> = (0..ROUNDS)
+            .flat_map(|r| batch(SOURCES + PER_ROUND * (ROUNDS + r)))
+            .collect();
+        g.insert_edges(&old);
+        g.delete_edges(&old);
+    }
+    let rounds: Vec<Vec<Edge>> = (0..ROUNDS)
+        .map(|r| batch(SOURCES + PER_ROUND * r))
+        .collect();
+    let stop = AtomicBool::new(false);
+    let ready = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let (g, stop, ready, rounds) = (&g, &stop, &ready, &rounds);
+        let handles: Vec<_> = (0..2)
+            .map(|r| {
+                s.spawn(move || {
+                    let mut rng = 77 + r as u64;
+                    let mut first = true;
+                    loop {
+                        let pin = g.pin_read();
+                        for src in 0..SOURCES {
+                            for (dst, w) in g.neighbors(&pin, src) {
+                                assert_eq!(
+                                    w,
+                                    weight_of(src, dst),
+                                    "reader {r} saw ⟨{src}, {dst}⟩ with a weight no writer stored"
+                                );
+                            }
+                        }
+                        let x = splitmix64(&mut rng) as usize;
+                        let e = rounds[x % rounds.len()][(x >> 32) % rounds[0].len()];
+                        if let Some(w) = g.edge_weight(&pin, e.src, e.dst) {
+                            assert_eq!(w, e.weight, "reader {r} looked up ⟨{}, {}⟩", e.src, e.dst);
+                        }
+                        drop(pin);
+                        if first {
+                            ready.fetch_add(1, Ordering::Release);
+                            first = false;
+                        }
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        while ready.load(Ordering::Acquire) < 2 {
+            std::thread::yield_now();
+        }
+        for round in rounds {
+            assert_eq!(
+                g.insert_edges(round),
+                round.len() as u64,
+                "every key is fresh"
+            );
+        }
+        stop.store(true, Ordering::Release);
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
+    let pin = g.pin_read();
+    for e in rounds.iter().flatten() {
+        assert_eq!(g.edge_weight(&pin, e.src, e.dst), Some(e.weight));
+    }
+    drop(pin);
+    g.validate().unwrap();
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
+#[test]
+fn pinned_readers_never_see_a_half_claimed_pair() {
+    claims_are_atomic_to_pinned_readers(false);
+}
+
+#[test]
+fn pinned_readers_never_see_a_half_recycled_pair() {
+    claims_are_atomic_to_pinned_readers(true);
 }
 
 fn sanitized_device(words: usize) -> Device {

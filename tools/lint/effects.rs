@@ -36,7 +36,8 @@ pub enum AccessKind {
     Write,
     /// `atomic_add` / `atomic_sub` / `atomic_or` / `atomic_and`.
     AtomicRmw,
-    /// `atomic_cas` — a release publication when it installs a pointer.
+    /// `atomic_cas` / `atomic_cas_pair` — a release publication when it
+    /// installs a pointer or a ⟨key, value⟩ pair.
     Cas,
     /// `atomic_exchange` — an unconditional release store.
     Exchange,
@@ -171,7 +172,7 @@ fn collect(trees: &[Tree], fx: &mut Effects) {
         } else if dotted && RMWS.contains(&name) {
             fx.accesses
                 .push(access(AccessKind::AtomicRmw, name, tok, args));
-        } else if dotted && name == "atomic_cas" {
+        } else if dotted && (name == "atomic_cas" || name == "atomic_cas_pair") {
             fx.accesses.push(access(AccessKind::Cas, name, tok, args));
         } else if dotted && name == "atomic_exchange" {
             fx.accesses
@@ -374,6 +375,19 @@ mod tests {
         assert_eq!(fx.accesses[2].key, "const:NEXT_LANE");
         assert_eq!(fx.accesses[3].kind, AccessKind::AtomicRmw);
         assert_eq!(fx.accesses[3].line, 6);
+    }
+
+    #[test]
+    fn pair_cas_is_an_atomic_publication_of_its_address() {
+        let m = parse_file(
+            "fn go(dev: &Device) {\n  dev.launch_warps(\"k\", 1, |warp| {\n    warp.atomic_cas_pair(slot + PAIR_LANE, [EMPTY_KEY, seen], [key, value]);\n  });\n}\n",
+        );
+        let fx = effects_of(&m.kernels[0].body);
+        assert_eq!(fx.accesses.len(), 1);
+        assert_eq!(fx.accesses[0].kind, AccessKind::Cas);
+        assert!(fx.accesses[0].kind.is_atomic());
+        assert_eq!(fx.accesses[0].key, "const:PAIR_LANE");
+        assert_eq!(fx.accesses[0].method, "atomic_cas_pair");
     }
 
     #[test]

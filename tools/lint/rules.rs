@@ -17,7 +17,7 @@
 //!   named constants in their address expressions, e.g. `NEXT_LANE`)
 //!   written in one kernel and read in a concurrently-running pinned
 //!   reader kernel must be published atomically (`atomic_cas` /
-//!   `atomic_exchange` / RMW — the simulator models atomics as
+//!   `atomic_cas_pair` / `atomic_exchange` / RMW — the simulator models atomics as
 //!   release+acquire); a plain `write_word`-family store to such a word
 //!   is exactly the class of publication race the sanitizer caught
 //!   dynamically in PR 4.
@@ -88,7 +88,7 @@ pub const RULES: [RuleMeta; 11] = [
     RuleMeta {
         id: "R9",
         name: "publication-order",
-        desc: "word class written non-atomically in one kernel but read by a pinned reader kernel; publish with atomic_cas/atomic_exchange",
+        desc: "word class written non-atomically in one kernel but read by a pinned reader kernel; publish with atomic_cas/atomic_cas_pair/atomic_exchange",
     },
     RuleMeta {
         id: "R10",
@@ -1014,7 +1014,7 @@ fn publication_rules(files: &[ScannedFile], index: &EffectIndex, findings: &mut 
                     wname,
                     &writer.kernel.in_func,
                     format!(
-                        "kernel `{wname}` stores word class `{}` with plain `{}` (line {}), but pinned reader kernel `{rname}` loads it concurrently; publish with atomic_cas/atomic_exchange",
+                        "kernel `{wname}` stores word class `{}` with plain `{}` (line {}), but pinned reader kernel `{rname}` loads it concurrently; publish with atomic_cas/atomic_cas_pair/atomic_exchange",
                         access.key, access.method, access.line
                     ),
                 );
