@@ -87,18 +87,4 @@ else
     cargo test --release -q --test fault_tolerance
 fi
 
-# Best-effort native ThreadSanitizer pass over the simulator's own
-# synchronization (needs a nightly toolchain and network-fetched std
-# sources; skipped — never failed — when either is unavailable).
-echo "== native thread-sanitizer job (best effort) =="
-if command -v rustup >/dev/null 2>&1 && rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-    if RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q -p gpu-sim --lib 2>/dev/null; then
-        echo "TSan: ok"
-    else
-        echo "TSan: nightly toolchain cannot run the job here (offline or unsupported target); skipping"
-    fi
-else
-    echo "TSan: no nightly toolchain installed; skipping"
-fi
-
 echo "CI OK"

@@ -7,7 +7,8 @@ use backend::GraphBackend;
 /// Level (hop distance) of every vertex from `src`; `u32::MAX` for
 /// unreachable vertices. Frontier-at-a-time traversal, one adjacency
 /// iteration per frontier vertex per level, via the backend's
-/// allocation-free [`GraphBackend::for_each_neighbor`] hot path.
+/// allocation-free [`GraphBackend::for_each_neighbor`] hot path, all
+/// under one [`GraphBackend::pin_read`] taken at entry.
 pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
     let n = g.num_vertices();
     let mut levels = vec![u32::MAX; n as usize];
@@ -15,13 +16,14 @@ pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
         return levels;
     }
     levels[src as usize] = 0;
+    let pin = g.pin_read();
     let mut frontier = vec![src];
     let mut depth = 0u32;
     while !frontier.is_empty() {
         depth += 1;
         let mut next = Vec::new();
         for &u in &frontier {
-            g.for_each_neighbor(u, &mut |v| {
+            g.for_each_neighbor(&pin, u, &mut |v| {
                 let slot = &mut levels[v as usize];
                 if *slot == u32::MAX {
                     *slot = depth;

@@ -10,6 +10,13 @@
 //!
 //! - The trait is object-safe: benchmark drivers hold
 //!   `Box<dyn GraphBackend>` contenders and loop over them.
+//! - Reads have one spelling. A caller takes [`GraphBackend::pin_read`]
+//!   and passes the [`ReadPin`] to the three pinned reads:
+//!   [`GraphBackend::edges_exist`], [`GraphBackend::read_neighbors`] and
+//!   [`GraphBackend::for_each_neighbor`]. [`GraphBackend::degree`] reads
+//!   the vertex count host-side and takes no pin. A single membership
+//!   query is a one-element `edges_exist` batch. Pinning charges no
+//!   device work, so a pin per call and a pin per traversal cost the same.
 //! - [`GraphBackend::for_each_neighbor`] is the hot-path adjacency
 //!   iterator. SlabGraph implements it allocation-free over the slab
 //!   lists; the array-based baselines fall back to their coalesced
@@ -36,7 +43,8 @@ use slabgraph::{DynGraph, Edge, ReadGuard};
 /// phase-separated backends (CSR, Hornet, faimGraph) return an *empty* pin
 /// and rely on the caller keeping reads and writes in separate phases, as
 /// before. Holding a `ReadPin` across a mutation is only snapshot-safe when
-/// [`Capabilities::concurrent_reads`] is set.
+/// [`Capabilities::concurrent_reads`] is set. A pin is only valid on the
+/// backend that issued it: epoch-aware backends index its guards by shard.
 #[must_use = "queries are only snapshot-safe while the pin is held"]
 #[derive(Default)]
 pub struct ReadPin {
@@ -137,59 +145,28 @@ pub trait GraphBackend {
     /// Out-degree of `u`.
     fn degree(&self, u: u32) -> u32;
 
-    /// Pin the current era for snapshot reads. Backends with
+    /// Pin the current era for the reads below. Backends with
     /// [`Capabilities::concurrent_reads`] return a live pin (one guard per
-    /// shard) under which the `*_pinned` queries tolerate concurrent
-    /// mutation; the default returns the empty phase-fallback pin, keeping
-    /// phase-separated backends conformant with zero changes.
+    /// shard) under which reads tolerate concurrent mutation; the default
+    /// returns the empty phase-fallback pin, which phase-separated
+    /// backends ignore. Pinning is host-only: it charges no device work.
     fn pin_read(&self) -> ReadPin {
         ReadPin::phase_fallback()
     }
 
-    /// Single `edgeExist` membership query.
-    fn contains_edge(&self, u: u32, v: u32) -> bool;
-
-    /// Batched membership queries. Backends with a batched query kernel
-    /// (SlabGraph's WCWS `edge_exist`) override this; the default loops
-    /// [`Self::contains_edge`].
-    fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        pairs
-            .iter()
-            .map(|&(u, v)| self.contains_edge(u, v))
-            .collect()
-    }
-
-    /// [`Self::contains_edge`] under an explicit [`ReadPin`]. The default
-    /// ignores the pin (phase fallback); epoch-aware backends route the
-    /// guard into their pinned query kernels.
-    fn contains_edge_pinned(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
-        self.contains_edge(u, v)
-    }
-
-    /// [`Self::edges_exist`] under an explicit [`ReadPin`].
-    fn edges_exist_pinned(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.edges_exist(pairs)
-    }
-
-    /// [`Self::read_neighbors`] under an explicit [`ReadPin`].
-    fn read_neighbors_pinned(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
-        self.read_neighbors(u)
-    }
-
-    /// [`Self::for_each_neighbor`] under an explicit [`ReadPin`].
-    fn for_each_neighbor_pinned(&self, _pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        self.for_each_neighbor(u, f)
-    }
+    /// Batched `edgeExist` membership queries under `pin`, answers in the
+    /// caller's order. A single query is a one-element batch.
+    fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool>;
 
     /// Read `u`'s adjacency list into a fresh `Vec` (order is the
     /// structure's internal order; sorted only if [`Self::is_sorted`]).
-    fn read_neighbors(&self, u: u32) -> Vec<u32>;
+    fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32>;
 
     /// Hot-path adjacency iteration: call `f` with every neighbour of
     /// `u`. SlabGraph walks its slab lists without allocating; the
     /// default falls back to [`Self::read_neighbors`].
-    fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        for v in self.read_neighbors(u) {
+    fn for_each_neighbor(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
+        for v in self.read_neighbors(pin, u) {
             f(v);
         }
     }
@@ -264,38 +241,15 @@ impl GraphBackend for DynGraph {
         DynGraph::degree(self, u)
     }
 
-    // The unpinned entry points pin internally per call: each query is
-    // snapshot-consistent on its own, matching the old phase-separated
-    // contract for drivers that never hold a pin across calls.
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
-        self.edge_exists(&DynGraph::pin_read(self), u, v)
-    }
-
-    fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        DynGraph::edges_exist(self, &DynGraph::pin_read(self), pairs)
-    }
-
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
-        self.neighbor_ids(&DynGraph::pin_read(self), u)
-    }
-
-    fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        DynGraph::for_each_neighbor(self, &DynGraph::pin_read(self), u, f)
-    }
-
-    fn contains_edge_pinned(&self, pin: &ReadPin, u: u32, v: u32) -> bool {
-        self.edge_exists(&pin.guards()[0], u, v)
-    }
-
-    fn edges_exist_pinned(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+    fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
         DynGraph::edges_exist(self, &pin.guards()[0], pairs)
     }
 
-    fn read_neighbors_pinned(&self, pin: &ReadPin, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32> {
         self.neighbor_ids(&pin.guards()[0], u)
     }
 
-    fn for_each_neighbor_pinned(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
+    fn for_each_neighbor(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
         DynGraph::for_each_neighbor(self, &pin.guards()[0], u, f)
     }
 
@@ -351,11 +305,11 @@ impl GraphBackend for Hornet {
         Hornet::degree(self, u)
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
-        self.edge_exists(u, v)
+    fn edges_exist(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        pairs.iter().map(|&(u, v)| self.edge_exists(u, v)).collect()
     }
 
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
         self.read_adjacency(u)
     }
 
@@ -419,13 +373,16 @@ impl GraphBackend for FaimGraph {
         FaimGraph::degree(self, u)
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
+    fn edges_exist(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
         // faimGraph has no dedicated membership kernel; a query is a
         // charged adjacency read plus a host-side scan.
-        self.read_adjacency(u).contains(&v)
+        pairs
+            .iter()
+            .map(|&(u, v)| self.read_adjacency(u).contains(&v))
+            .collect()
     }
 
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
         self.read_adjacency(u)
     }
 
@@ -481,11 +438,11 @@ impl GraphBackend for Csr {
         Csr::degree(self, u)
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
-        self.edge_exists(u, v)
+    fn edges_exist(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        pairs.iter().map(|&(u, v)| self.edge_exists(u, v)).collect()
     }
 
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
         self.read_adjacency(u)
     }
 
@@ -535,13 +492,11 @@ mod tests {
             assert_eq!(b.num_edges(), 8, "{name}: 4 undirected = 8 directed");
             assert_eq!(b.degree(0), 2, "{name}");
             assert_eq!(b.degree(2), 3, "{name}");
-            assert!(b.contains_edge(0, 1), "{name}");
-            assert!(b.contains_edge(1, 0), "{name}: mirrored");
-            assert!(!b.contains_edge(0, 3), "{name}");
+            let pin = b.pin_read();
             assert_eq!(
-                b.edges_exist(&[(0, 1), (0, 3), (2, 3)]),
-                vec![true, false, true],
-                "{name}"
+                b.edges_exist(&pin, &[(0, 1), (1, 0), (0, 3), (2, 3)]),
+                vec![true, true, false, true],
+                "{name}: (1, 0) is the mirror of (0, 1)"
             );
         }
     }
@@ -549,9 +504,10 @@ mod tests {
     #[test]
     fn neighbor_iteration_matches_read_neighbors() {
         for b in all_backends() {
+            let pin = b.pin_read();
             let mut seen = Vec::new();
-            b.for_each_neighbor(2, &mut |v| seen.push(v));
-            let mut read = b.read_neighbors(2);
+            b.for_each_neighbor(&pin, 2, &mut |v| seen.push(v));
+            let mut read = b.read_neighbors(&pin, 2);
             seen.sort_unstable();
             read.sort_unstable();
             assert_eq!(seen, vec![0, 1, 3], "{}", b.name());
@@ -592,38 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_queries_agree_with_unpinned_on_every_backend() {
-        for b in all_backends() {
-            let name = b.name();
-            let pin = b.pin_read();
-            assert_eq!(
-                pin.is_pinned(),
-                b.caps().concurrent_reads,
-                "{name}: pin liveness must track the capability flag"
-            );
-            assert_eq!(
-                b.contains_edge_pinned(&pin, 0, 1),
-                b.contains_edge(0, 1),
-                "{name}"
-            );
-            assert_eq!(
-                b.edges_exist_pinned(&pin, &[(0, 1), (0, 3), (2, 3)]),
-                b.edges_exist(&[(0, 1), (0, 3), (2, 3)]),
-                "{name}"
-            );
-            let mut via_pin = b.read_neighbors_pinned(&pin, 2);
-            let mut direct = b.read_neighbors(2);
-            via_pin.sort_unstable();
-            direct.sort_unstable();
-            assert_eq!(via_pin, direct, "{name}");
-            let mut seen = Vec::new();
-            b.for_each_neighbor_pinned(&pin, 2, &mut |v| seen.push(v));
-            seen.sort_unstable();
-            assert_eq!(seen, direct, "{name}");
-        }
-    }
-
-    #[test]
     fn updates_through_the_trait() {
         let mut g: Box<dyn GraphBackend> = Box::new(DynGraph::with_uniform_buckets(
             GraphConfig::undirected_set(8),
@@ -632,10 +556,10 @@ mod tests {
         ));
         assert_eq!(g.insert_edges(&edges()), 8, "4 undirected = 8 directed");
         assert_eq!(g.delete_edges(&[(0, 1)]), 2);
-        assert!(!g.contains_edge(0, 1));
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(0, 1)]), vec![false]);
         g.delete_vertices(&[2]);
         assert_eq!(g.degree(2), 0);
-        assert!(!g.contains_edge(1, 2));
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(1, 2)]), vec![false]);
     }
 
     #[test]

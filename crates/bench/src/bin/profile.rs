@@ -11,6 +11,7 @@
 //! <https://ui.perfetto.dev> (or chrome://tracing) to inspect per-kernel
 //! spans, host phases, and allocator instants on the modeled clock.
 
+use backend::GraphBackend;
 use bench::churn::ChurnConfig;
 use bench::harness::{build_backends, build_sharded, stream_for};
 use bench::sharded::traffic_for;
@@ -75,7 +76,7 @@ fn main() {
                 }
                 {
                     let _p = g.device().phase("churn.query");
-                    let _ = g.edges_exist(&round.qry);
+                    let _ = g.edges_exist(&g.pin_read(), &round.qry);
                 }
             }
         } else {
@@ -145,7 +146,7 @@ fn main() {
             report.is_complete(),
             "profiled flush hit the memory ceiling"
         );
-        let _ = g.edges_exist(&round.qry);
+        let _ = GraphBackend::edges_exist(&g, &g.pin_read(), &round.qry);
     }
     g.validate()
         .expect("cross-shard audit after profiled replay");

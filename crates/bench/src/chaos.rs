@@ -139,13 +139,13 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
         }
 
         // Degraded-read sampling: the round's query batch through the
-        // fault-aware read path.
-        let mut degraded = 0u64;
-        for &(u, v) in &round.qry {
-            if router.edge_exists_degraded(u, v).1 == ReadQuality::Degraded {
-                degraded += 1;
-            }
-        }
+        // fault-aware read path, under one pin for the round.
+        let pin = router.pin_read();
+        let degraded = round
+            .qry
+            .iter()
+            .filter(|&&(u, v)| router.edge_exists_live(&pin, u, v).1 == ReadQuality::Degraded)
+            .count() as u64;
 
         // Reference replay (inserts before deletes, session-major — the
         // router's own drain order).

@@ -12,6 +12,7 @@
 
 use crate::churn::{ChurnConfig, Skew};
 use crate::harness::{build_sharded, dataset_for, fnum, scale_shift, Table};
+use backend::GraphBackend;
 use gpu_sim::{CostModel, CounterSnapshot};
 use router::{shard_of, BatchRouter, Update};
 use slabgraph::Edge;
@@ -163,7 +164,7 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
             .iter()
             .map(|d| d.counters().snapshot())
             .collect();
-        let found = g.edges_exist(&round.qry);
+        let found = GraphBackend::edges_exist(&g, &g.pin_read(), &round.qry);
         point.query_s += g
             .group()
             .devices()

@@ -105,24 +105,32 @@ impl DynGraph {
             .collect()
     }
 
+    /// The one adjacency walk behind [`Self::neighbors`] and
+    /// [`Self::for_each_neighbor`]: a one-warp `neighbors` kernel calling
+    /// `f` with every ⟨dst, weight⟩ pair of `u` in table order (weight 0
+    /// for set graphs). No launch when `u` has no table.
+    fn walk_neighbors(&self, pin: &ReadGuard, u: u32, f: &mut (dyn FnMut(u32, u32) + Send)) {
+        self.check_pin(pin);
+        let Some(desc) = self.dict.desc_host(&self.dev, u) else {
+            return;
+        };
+        let f = parking_lot::Mutex::new(f);
+        self.dev.launch_warps("neighbors", 1, |warp| {
+            let mut f = f.lock();
+            match self.config.kind {
+                TableKind::Map => desc.for_each_pair(warp, &mut **f),
+                TableKind::Set => desc.for_each_key(warp, |k| f(k, 0)),
+            }
+        });
+    }
+
     /// Retrieve vertex `u`'s adjacency list as ⟨dst, weight⟩ pairs (weight
     /// is 0 for set graphs). Uses the slab iterator (§IV-B); order is the
     /// table's internal order, not sorted.
     pub fn neighbors(&self, pin: &ReadGuard, u: u32) -> Vec<(u32, u32)> {
-        self.check_pin(pin);
-        let Some(desc) = self.dict.desc_host(&self.dev, u) else {
-            return vec![];
-        };
-        let out = parking_lot::Mutex::new(Vec::new());
-        self.dev.launch_warps("neighbors", 1, |warp| {
-            let mut local = Vec::new();
-            match self.config.kind {
-                TableKind::Map => desc.for_each_pair(warp, |k, v| local.push((k, v))),
-                TableKind::Set => desc.for_each_key(warp, |k| local.push((k, 0))),
-            }
-            *out.lock() = local;
-        });
-        out.into_inner()
+        let mut out = Vec::new();
+        self.walk_neighbors(pin, u, &mut |k, v| out.push((k, v)));
+        out
     }
 
     /// Destination-only adjacency list.
@@ -135,18 +143,7 @@ impl DynGraph {
     /// same `neighbors` kernel work as [`Self::neighbors`] without building
     /// the intermediate `Vec` — the hot path for traversal algorithms.
     pub fn for_each_neighbor(&self, pin: &ReadGuard, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        self.check_pin(pin);
-        let Some(desc) = self.dict.desc_host(&self.dev, u) else {
-            return;
-        };
-        let f = parking_lot::Mutex::new(f);
-        self.dev.launch_warps("neighbors", 1, |warp| {
-            let mut f = f.lock();
-            match self.config.kind {
-                TableKind::Map => desc.for_each_pair(warp, |k, _| f(k)),
-                TableKind::Set => desc.for_each_key(warp, &mut **f),
-            }
-        });
+        self.walk_neighbors(pin, u, &mut |k, _| f(k));
     }
 
     /// Whole-graph adjacency scan: invoke `f` with every stored edge as

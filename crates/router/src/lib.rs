@@ -37,6 +37,7 @@
 //! raises the budget (or clears the fault plan), [`BatchRouter::recover`]
 //! resumes exactly the pending suffixes via `retry_suffix`.
 
+use backend::GraphBackend;
 use gpu_sim::{
     CostModel, Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricSummary,
     MetricsRegistry, OpAttributionRow, ShardHealthRow, TailExemplarRow, TraceCtx, TraceReport,
@@ -271,113 +272,15 @@ impl ShardedGraph {
         });
     }
 
-    /// Pin every shard's current era for a snapshot read session: one
-    /// [`ReadGuard`] per shard, in shard order. While the guards live, no
-    /// shard recycles a slab freed at or after its pinned era, so the
-    /// `*_pinned` queries run safely concurrent with in-flight update
-    /// batches on other threads. Guards pin *reclamation*, not data:
-    /// reads under them observe the newest published state.
-    pub fn pin_read(&self) -> Vec<ReadGuard> {
-        self.shards.iter().map(|s| s.read().pin_read()).collect()
-    }
-
-    /// Membership query for one edge, answered by `src`'s owner under a
-    /// per-call era pin.
-    pub fn edge_exists(&self, src: u32, dst: u32) -> bool {
-        let g = self.shards[self.owner_of(src)].read();
-        g.edge_exists(&g.pin_read(), src, dst)
-    }
-
-    /// [`Self::edge_exists`] under an explicit per-shard pin from
-    /// [`Self::pin_read`] (one guard per shard, shard order).
-    pub fn edge_exists_pinned(&self, pins: &[ReadGuard], src: u32, dst: u32) -> bool {
-        let owner = self.owner_of(src);
-        self.shards[owner]
-            .read()
-            .edge_exists(&pins[owner], src, dst)
-    }
-
-    /// Route `pairs` to their src's owner, run `query` per shard
-    /// concurrently, and return results in the caller's order.
-    fn edges_exist_routed(
-        &self,
-        pairs: &[(u32, u32)],
-        query: impl Fn(usize, &DynGraph, &[(u32, u32)]) -> Vec<bool> + Sync,
-    ) -> Vec<bool> {
-        let n = self.shards.len();
-        let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (i, &p) in pairs.iter().enumerate() {
-            let s = shard_of(p.0, n);
-            index[s].push(i);
-            per[s].push(p);
-        }
-        let ctx = self.dispatch_ctx();
-        let results = self.group.dispatch(|s, dev| {
-            let _trace = dev.trace_scope(ctx);
-            query(s, &self.shards[s].read(), &per[s])
-        });
-        let mut out = vec![false; pairs.len()];
-        for (s, found) in results.into_iter().enumerate() {
-            for (k, b) in found.into_iter().enumerate() {
-                out[index[s][k]] = b;
-            }
-        }
-        out
-    }
-
-    /// Batched membership queries: pairs route to their src's owner, the
-    /// per-shard query kernels run concurrently (each under its own era
-    /// pin), and results return in the caller's order — bit-identical to
-    /// an unsharded replay.
+    /// Batched membership queries under a fresh pin: the
+    /// [`GraphBackend::edges_exist`] path, results in the caller's order.
     pub fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.edges_exist_routed(pairs, |_, g, per| g.edges_exist(&g.pin_read(), per))
-    }
-
-    /// [`Self::edges_exist`] under an explicit per-shard pin from
-    /// [`Self::pin_read`].
-    pub fn edges_exist_pinned(&self, pins: &[ReadGuard], pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.edges_exist_routed(pairs, |s, g, per| g.edges_exist(&pins[s], per))
+        GraphBackend::edges_exist(self, &GraphBackend::pin_read(self), pairs)
     }
 
     /// Out-degree of `u`, from its owner shard.
     pub fn degree(&self, u: u32) -> u32 {
         self.shards[self.owner_of(u)].read().degree(u)
-    }
-
-    /// `u`'s neighbours, from its owner shard (the primary copy holds the
-    /// complete adjacency), under a per-call era pin.
-    pub fn neighbor_ids(&self, u: u32) -> Vec<u32> {
-        let g = self.shards[self.owner_of(u)].read();
-        g.neighbor_ids(&g.pin_read(), u)
-    }
-
-    /// [`Self::neighbor_ids`] under an explicit per-shard pin from
-    /// [`Self::pin_read`].
-    pub fn neighbor_ids_pinned(&self, pins: &[ReadGuard], u: u32) -> Vec<u32> {
-        let owner = self.owner_of(u);
-        self.shards[owner].read().neighbor_ids(&pins[owner], u)
-    }
-
-    /// Allocation-free adjacency iteration on the owner shard, under a
-    /// per-call era pin.
-    pub fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        let g = self.shards[self.owner_of(u)].read();
-        g.for_each_neighbor(&g.pin_read(), u, f)
-    }
-
-    /// [`Self::for_each_neighbor`] under an explicit per-shard pin from
-    /// [`Self::pin_read`].
-    pub fn for_each_neighbor_pinned(
-        &self,
-        pins: &[ReadGuard],
-        u: u32,
-        f: &mut (dyn FnMut(u32) + Send),
-    ) {
-        let owner = self.owner_of(u);
-        self.shards[owner]
-            .read()
-            .for_each_neighbor(&pins[owner], u, f)
     }
 
     /// Exact live-edge count: the sum of owned-vertex degrees across
@@ -637,7 +540,7 @@ impl std::error::Error for ShardedValidationError {}
 // GraphBackend: the sharded graph drops into every existing driver.
 // ---------------------------------------------------------------------------
 
-impl backend::GraphBackend for ShardedGraph {
+impl GraphBackend for ShardedGraph {
     fn name(&self) -> &'static str {
         "ShardedSlabGraph"
     }
@@ -672,61 +575,55 @@ impl backend::GraphBackend for ShardedGraph {
         ShardedGraph::degree(self, u)
     }
 
+    /// One guard per shard, in shard order. While the pin lives, no shard
+    /// recycles a slab freed at or after its pinned era, so reads under it
+    /// run safely beside in-flight update batches on other threads. Guards
+    /// pin *reclamation*, not data: reads observe the newest published
+    /// state.
     fn pin_read(&self) -> backend::ReadPin {
-        backend::ReadPin::from_guards(ShardedGraph::pin_read(self))
+        backend::ReadPin::from_guards(self.shards.iter().map(|s| s.read().pin_read()).collect())
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
-        self.edge_exists(u, v)
-    }
-
-    fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        ShardedGraph::edges_exist(self, pairs)
-    }
-
-    fn contains_edge_pinned(&self, pin: &backend::ReadPin, u: u32, v: u32) -> bool {
-        if pin.is_pinned() {
-            self.edge_exists_pinned(pin.guards(), u, v)
-        } else {
-            self.edge_exists(u, v)
+    /// Pairs route to their src's owner, the per-shard query kernels run
+    /// concurrently under the pin's guards, and results return in the
+    /// caller's order — bit-identical to an unsharded replay.
+    fn edges_exist(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        let n = self.shards.len();
+        let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        for (i, &p) in pairs.iter().enumerate() {
+            let s = shard_of(p.0, n);
+            index[s].push(i);
+            per[s].push(p);
         }
-    }
-
-    fn edges_exist_pinned(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        if pin.is_pinned() {
-            ShardedGraph::edges_exist_pinned(self, pin.guards(), pairs)
-        } else {
-            ShardedGraph::edges_exist(self, pairs)
+        let ctx = self.dispatch_ctx();
+        let results = self.group.dispatch(|s, dev| {
+            let _trace = dev.trace_scope(ctx);
+            self.shards[s].read().edges_exist(&pin.guards()[s], &per[s])
+        });
+        let mut out = vec![false; pairs.len()];
+        for (s, found) in results.into_iter().enumerate() {
+            for (k, b) in found.into_iter().enumerate() {
+                out[index[s][k]] = b;
+            }
         }
+        out
     }
 
-    fn read_neighbors_pinned(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
-        if pin.is_pinned() {
-            self.neighbor_ids_pinned(pin.guards(), u)
-        } else {
-            self.neighbor_ids(u)
-        }
+    /// `u`'s neighbours from its owner shard: the primary copy holds the
+    /// complete adjacency.
+    fn read_neighbors(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
+        let owner = self.owner_of(u);
+        self.shards[owner]
+            .read()
+            .neighbor_ids(&pin.guards()[owner], u)
     }
 
-    fn for_each_neighbor_pinned(
-        &self,
-        pin: &backend::ReadPin,
-        u: u32,
-        f: &mut (dyn FnMut(u32) + Send),
-    ) {
-        if pin.is_pinned() {
-            ShardedGraph::for_each_neighbor_pinned(self, pin.guards(), u, f)
-        } else {
-            ShardedGraph::for_each_neighbor(self, u, f)
-        }
-    }
-
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
-        self.neighbor_ids(u)
-    }
-
-    fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        ShardedGraph::for_each_neighbor(self, u, f)
+    fn for_each_neighbor(&self, pin: &backend::ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
+        let owner = self.owner_of(u);
+        self.shards[owner]
+            .read()
+            .for_each_neighbor(&pin.guards()[owner], u, f)
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -997,7 +894,7 @@ struct PendingOp {
 /// The reconstructed lifecycle of one client operation: its identity,
 /// the flush that carried it, a latency breakdown on the modeled clock,
 /// and the span chain (human-readable, in causal order). `total_ns` is
-/// *defined* as the sum of the five components, and `tests/tracing.rs`
+/// *defined* as the sum of the four components, and `tests/tracing.rs`
 /// asserts the kernel component is conserved against the flush's actual
 /// kernel time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1012,10 +909,6 @@ pub struct OpTraceRecord {
     pub flush: u64,
     /// Modeled ns spent queued between submit and flush drain.
     pub queue_ns: u64,
-    /// Modeled ns spent in host-side coalescing. Always 0 today: the
-    /// cost model charges device work only, and coalescing is host work.
-    /// Kept in the schema so the breakdown is stable if that changes.
-    pub coalesce_ns: u64,
     /// This op's share of retry backoff charged on its shards.
     pub backoff_ns: u64,
     /// This op's share of kernel time on its shards (rebuild replay
@@ -1032,9 +925,9 @@ pub struct OpTraceRecord {
 }
 
 impl OpTraceRecord {
-    /// End-to-end modeled latency: the sum of the five components.
+    /// End-to-end modeled latency: the sum of the four components.
     pub fn total_ns(&self) -> u64 {
-        self.queue_ns + self.coalesce_ns + self.backoff_ns + self.kernel_ns + self.degraded_ns
+        self.queue_ns + self.backoff_ns + self.kernel_ns + self.degraded_ns
     }
 }
 
@@ -1071,7 +964,6 @@ impl OpTracker {
         rec.done = true;
         metrics.record("op.total_ns", rec.total_ns());
         metrics.record("op.queue_ns", rec.queue_ns);
-        metrics.record("op.coalesce_ns", rec.coalesce_ns);
         metrics.record("op.backoff_ns", rec.backoff_ns);
         metrics.record("op.kernel_ns", rec.kernel_ns);
         metrics.record("op.degraded_ns", rec.degraded_ns);
@@ -1425,7 +1317,6 @@ impl<'g> BatchRouter<'g> {
                                 kind: kind.to_string(),
                                 flush: flush_id,
                                 queue_ns,
-                                coalesce_ns: 0,
                                 backoff_ns: 0,
                                 kernel_ns: 0,
                                 degraded_ns: 0,
@@ -1934,47 +1825,6 @@ impl<'g> BatchRouter<'g> {
         Ok(rebuilt)
     }
 
-    /// Point membership lookup that stays available while shards are
-    /// Down. The owner answers exactly; with the owner Down, a cut
-    /// edge's replica on the destination's owner answers (the replica is
-    /// kept under the same `u→v` key, so it is authoritative for that
-    /// edge), tagged [`ReadQuality::Degraded`]. A shard-internal edge of
-    /// a Down owner is unanswerable and reports best-effort absence.
-    pub fn edge_exists_degraded(&self, src: u32, dst: u32) -> (bool, ReadQuality) {
-        let owner = self.graph.owner_of(src);
-        if self.is_serving(owner) {
-            let g = self.graph.shard(owner);
-            return (g.edge_exists(&g.pin_read(), src, dst), ReadQuality::Exact);
-        }
-        let replica = self.graph.owner_of(dst);
-        if replica != owner && self.is_serving(replica) {
-            let g = self.graph.shard(replica);
-            return (
-                g.edge_exists(&g.pin_read(), src, dst),
-                ReadQuality::Degraded,
-            );
-        }
-        (false, ReadQuality::Degraded)
-    }
-
-    /// Out-degree that stays available while shards are Down. With the
-    /// owner Down, surviving shards hold exactly `u`'s cut out-edges as
-    /// replicas; their sum undercounts by `u`'s shard-internal edges and
-    /// is tagged [`ReadQuality::Degraded`].
-    pub fn degree_degraded(&self, u: u32) -> (u32, ReadQuality) {
-        let owner = self.graph.owner_of(u);
-        if self.is_serving(owner) {
-            return (self.graph.degree(u), ReadQuality::Exact);
-        }
-        let mut d = 0;
-        for t in 0..self.graph.num_shards() {
-            if t != owner && self.is_serving(t) {
-                d += self.graph.shard(t).degree(u);
-            }
-        }
-        (d, ReadQuality::Degraded)
-    }
-
     /// Whether shard `s` currently serves dispatches and exact reads.
     /// Reads the lock-free health mirror, never the state mutex: a flush
     /// dispatch holds the mutex for its whole batch, and reads must not
@@ -1986,7 +1836,7 @@ impl<'g> BatchRouter<'g> {
     /// Pin every serving shard for a read session that runs concurrently
     /// with in-flight [`Self::flush`]es. Shards that are Down or
     /// Rebuilding at pin time get no guard; reads routed to them degrade
-    /// exactly like [`Self::edge_exists_degraded`]. Nothing on this path
+    /// to the surviving replicas. Nothing on this path
     /// touches the per-shard state mutex, so a flush mid-dispatch never
     /// blocks a pinned read (and vice versa).
     pub fn pin_read(&self) -> LiveReadPin {
@@ -2018,30 +1868,51 @@ impl<'g> BatchRouter<'g> {
         Some(query(&g, guard))
     }
 
+    /// The owner→replica route of a membership read of ⟨src,dst⟩ under
+    /// `pin`. The owner answers [`ReadQuality::Exact`]. With the owner
+    /// unavailable (Down, Rebuilding, or its pin staled by a rebuild), a
+    /// cut edge's replica on `dst`'s owner answers, tagged
+    /// [`ReadQuality::Degraded`]: the replica is kept under the same
+    /// `u→v` key, so it is authoritative for that edge. A shard-internal
+    /// edge of an unavailable owner is unanswerable and reports
+    /// best-effort absence with no answering shard. `query` runs on the
+    /// answering shard, whose index it receives.
+    fn route_membership(
+        &self,
+        pin: &LiveReadPin,
+        src: u32,
+        dst: u32,
+        mut query: impl FnMut(usize, &DynGraph, &ReadGuard) -> bool,
+    ) -> (bool, ReadQuality, Option<usize>) {
+        let owner = self.graph.owner_of(src);
+        if let Some(hit) = self.pinned_query(pin, owner, |g, p| query(owner, g, p)) {
+            return (hit, ReadQuality::Exact, Some(owner));
+        }
+        let replica = self.graph.owner_of(dst);
+        if replica != owner {
+            if let Some(hit) = self.pinned_query(pin, replica, |g, p| query(replica, g, p)) {
+                return (hit, ReadQuality::Degraded, Some(replica));
+            }
+        }
+        (false, ReadQuality::Degraded, None)
+    }
+
     /// Point membership that runs concurrently with in-flight flushes
-    /// *and* stays available while shards are Down: the owner answers
+    /// *and* stays available while shards are Down. The owner answers
     /// exactly under its pinned era; with the owner unavailable (or its
     /// pin staled by a rebuild) a cut edge's replica answers, tagged
     /// [`ReadQuality::Degraded`] — the epoch pins compose with the
     /// degraded-read protocol rather than replacing it.
     pub fn edge_exists_live(&self, pin: &LiveReadPin, src: u32, dst: u32) -> (bool, ReadQuality) {
-        let owner = self.graph.owner_of(src);
-        if let Some(hit) = self.pinned_query(pin, owner, |g, p| g.edge_exists(p, src, dst)) {
-            return (hit, ReadQuality::Exact);
-        }
-        let replica = self.graph.owner_of(dst);
-        if replica != owner {
-            if let Some(hit) = self.pinned_query(pin, replica, |g, p| g.edge_exists(p, src, dst)) {
-                return (hit, ReadQuality::Degraded);
-            }
-        }
-        (false, ReadQuality::Degraded)
+        let (hit, quality, _) =
+            self.route_membership(pin, src, dst, |_, g, p| g.edge_exists(p, src, dst));
+        (hit, quality)
     }
 
     /// `u`'s neighbours under the pinned session. Owner serving → exact;
     /// otherwise the union of surviving cut-edge replicas, degraded
     /// (undercounts by `u`'s shard-internal edges, like
-    /// [`Self::degree_degraded`]).
+    /// [`Self::degree_live`]).
     pub fn neighbor_ids_live(&self, pin: &LiveReadPin, u: u32) -> (Vec<u32>, ReadQuality) {
         let owner = self.graph.owner_of(u);
         if let Some(n) = self.pinned_query(pin, owner, |g, p| g.neighbor_ids(p, u)) {
@@ -2060,8 +1931,10 @@ impl<'g> BatchRouter<'g> {
         (out, ReadQuality::Degraded)
     }
 
-    /// Out-degree under the pinned session: exact from the owner, else
-    /// the sum of surviving replica degrees, degraded.
+    /// Out-degree under the pinned session: exact from the owner. With
+    /// the owner unavailable, surviving shards hold exactly `u`'s cut
+    /// out-edges as replicas; their sum undercounts by `u`'s
+    /// shard-internal edges and is tagged [`ReadQuality::Degraded`].
     pub fn degree_live(&self, pin: &LiveReadPin, u: u32) -> (u32, ReadQuality) {
         let owner = self.graph.owner_of(u);
         if let Some(d) = self.pinned_query(pin, owner, |g, _| g.degree(u)) {
@@ -2083,35 +1956,22 @@ impl<'g> BatchRouter<'g> {
     /// measures the modeled cost of the read, and folds a completed
     /// `"query"` lifecycle into the op log — charged to the `kernel`
     /// component when the owner answered exactly, to `degraded` when a
-    /// replica (or nobody) answered while the owner was down.
+    /// replica (or nobody) answered while the owner was down. The read
+    /// takes [`Self::edge_exists_live`]'s route under a fresh pin.
     pub fn edge_exists_traced(&self, session: usize, src: u32, dst: u32) -> (bool, ReadQuality) {
         let op = self.next_op.fetch_add(1, Ordering::AcqRel);
         let ctx = TraceCtx::root(session as u64, op);
         let model = CostModel::titan_v();
-        let read_on = |s: usize| -> (bool, f64) {
-            let dev = self.graph.group().device(s);
-            let _trace = dev.trace_scope(ctx);
-            let before = dev.counters().snapshot();
-            let g = self.graph.shard(s);
-            let hit = g.edge_exists(&g.pin_read(), src, dst);
-            (
-                hit,
-                model.seconds(&dev.counters().snapshot().delta(&before)),
-            )
-        };
-        let owner = self.graph.owner_of(src);
-        let (hit, quality, cost_s, answered) = if self.is_serving(owner) {
-            let (hit, c) = read_on(owner);
-            (hit, ReadQuality::Exact, c, Some(owner))
-        } else {
-            let replica = self.graph.owner_of(dst);
-            if replica != owner && self.is_serving(replica) {
-                let (hit, c) = read_on(replica);
-                (hit, ReadQuality::Degraded, c, Some(replica))
-            } else {
-                (false, ReadQuality::Degraded, 0.0, None)
-            }
-        };
+        let mut cost_s = 0.0;
+        let (hit, quality, answered) =
+            self.route_membership(&self.pin_read(), src, dst, |s, g, p| {
+                let dev = self.graph.group().device(s);
+                let _trace = dev.trace_scope(ctx);
+                let before = dev.counters().snapshot();
+                let hit = g.edge_exists(p, src, dst);
+                cost_s = model.seconds(&dev.counters().snapshot().delta(&before));
+                hit
+            });
         let cost_ns = as_ns(cost_s);
         let (kernel_ns, degraded_ns) = match quality {
             ReadQuality::Exact => (cost_ns, 0),
@@ -2134,7 +1994,6 @@ impl<'g> BatchRouter<'g> {
             kind: "query".to_string(),
             flush: 0,
             queue_ns: 0,
-            coalesce_ns: 0,
             backoff_ns: 0,
             kernel_ns,
             degraded_ns,
@@ -2168,24 +2027,23 @@ impl<'g> BatchRouter<'g> {
     /// op-latency attribution (p50/p95/p99), and the tail-exemplar
     /// ring. Round-trips through JSON exactly like any other report.
     pub fn trace_report(&self, model: &CostModel) -> TraceReport {
-        let attribution: Vec<OpAttributionRow> = [
-            "queue", "coalesce", "backoff", "kernel", "degraded", "total",
-        ]
-        .iter()
-        .map(|c| {
-            let name = format!("op.{c}_ns");
-            let m = self.op_metrics.histogram(&name).snapshot().summary(name);
-            OpAttributionRow {
-                component: (*c).to_string(),
-                count: m.count,
-                sum_ns: m.sum,
-                max_ns: m.max,
-                p50_ns: m.p50,
-                p95_ns: m.p95,
-                p99_ns: m.p99,
-            }
-        })
-        .collect();
+        let attribution: Vec<OpAttributionRow> =
+            ["queue", "backoff", "kernel", "degraded", "total"]
+                .iter()
+                .map(|c| {
+                    let name = format!("op.{c}_ns");
+                    let m = self.op_metrics.histogram(&name).snapshot().summary(name);
+                    OpAttributionRow {
+                        component: (*c).to_string(),
+                        count: m.count,
+                        sum_ns: m.sum,
+                        max_ns: m.max,
+                        p50_ns: m.p50,
+                        p95_ns: m.p95,
+                        p99_ns: m.p99,
+                    }
+                })
+                .collect();
         let exemplars: Vec<TailExemplarRow> = self
             .tracker
             .lock()
@@ -2197,7 +2055,6 @@ impl<'g> BatchRouter<'g> {
                 kind: r.kind.clone(),
                 total_ns: r.total_ns(),
                 queue_ns: r.queue_ns,
-                coalesce_ns: r.coalesce_ns,
                 backoff_ns: r.backoff_ns,
                 kernel_ns: r.kernel_ns,
                 degraded_ns: r.degraded_ns,
@@ -2254,7 +2111,6 @@ fn held_outcome(op: slabgraph::BatchOp, batch: &[Edge]) -> BatchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backend::GraphBackend;
     use gpu_sim::FaultPlan;
 
     fn cfg(n_vertices: u32) -> GraphConfig {
@@ -2312,23 +2168,24 @@ mod tests {
             let qry = pairs(300, 99, n_vertices);
             let ref_pin = reference.pin_read();
             assert_eq!(g.edges_exist(&qry), reference.edges_exist(&ref_pin, &qry));
-            // Explicit per-shard pins answer identically to per-call pins.
-            let pins = g.pin_read();
-            assert_eq!(pins.len(), shards);
+            // One pin session: a guard per shard, answering identically.
+            let pin = g.pin_read();
+            assert_eq!(pin.guards().len(), shards);
             assert_eq!(
-                g.edges_exist_pinned(&pins, &qry),
+                GraphBackend::edges_exist(&g, &pin, &qry),
                 reference.edges_exist(&ref_pin, &qry)
             );
             for v in 0..n_vertices {
                 assert_eq!(g.degree(v), reference.degree(v), "degree({v})");
-                let mut a = g.neighbor_ids(v);
+                let mut a = g.read_neighbors(&pin, v);
                 let mut b = reference.neighbor_ids(&ref_pin, v);
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "neighbors({v})");
-                let mut c = g.neighbor_ids_pinned(&pins, v);
+                let mut c = Vec::new();
+                g.for_each_neighbor(&pin, v, &mut |w| c.push(w));
                 c.sort_unstable();
-                assert_eq!(c, b, "pinned neighbors({v})");
+                assert_eq!(c, b, "for_each_neighbor({v})");
             }
             g.validate().expect("cross-shard audit");
         }
@@ -2360,8 +2217,7 @@ mod tests {
         let g = ShardedGraph::new(4, config);
         let changed = g.insert_edges(&[Edge::new(1, 2)]);
         assert_eq!(changed, 2, "both half-edges counted");
-        assert!(g.edge_exists(1, 2));
-        assert!(g.edge_exists(2, 1));
+        assert_eq!(g.edges_exist(&[(1, 2), (2, 1)]), vec![true, true]);
         g.validate().expect("mirrored cut edges audited");
     }
 
@@ -2391,7 +2247,7 @@ mod tests {
         assert_eq!(g.name(), "ShardedSlabGraph");
         assert_eq!(g.devices().len(), 3);
         assert_eq!(g.insert_edges(&[(1, 2), (2, 3)]), 2);
-        assert!(g.contains_edge(1, 2));
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(1, 2)]), vec![true]);
         assert_eq!(g.delete_edges(&[(1, 2)]), 1);
         assert_eq!(g.num_edges(), 1);
     }
@@ -2465,7 +2321,11 @@ mod tests {
         router.submit(0, Update::Delete(Edge::new(1, 2)));
         let report = router.flush();
         assert!(report.is_complete());
-        assert!(!g.edge_exists(1, 2), "insert-then-delete nets to absent");
+        assert_eq!(
+            g.edges_exist(&[(1, 2)]),
+            vec![false],
+            "insert-then-delete nets to absent"
+        );
     }
 
     #[test]
@@ -2584,32 +2444,44 @@ mod tests {
         router.submit(0, Update::Insert(Edge::new(internal.0, internal.1)));
         router.flush();
         assert_eq!(router.health(down), ShardHealth::Down);
+        // A session pinned now only covers the survivor.
+        let pin = router.pin_read();
+        assert_eq!(pin.pinned_shards(), 1);
         // Exact reads on the healthy shard's vertices.
         let survivor_v = updates
             .iter()
             .find(|&&(u, _)| g.owner_of(u) != down)
             .map(|&(u, _)| u)
             .unwrap();
-        assert_eq!(router.degree_degraded(survivor_v).1, ReadQuality::Exact);
+        assert_eq!(router.degree_live(&pin, survivor_v).1, ReadQuality::Exact);
         // The cut edge's replica on the survivor answers, degraded.
         assert_eq!(
-            router.edge_exists_degraded(cut.0, cut.1),
+            router.edge_exists_live(&pin, cut.0, cut.1),
             (true, ReadQuality::Degraded)
         );
         // The internal edge is unanswerable: best-effort absence.
         assert_eq!(
-            router.edge_exists_degraded(internal.0, internal.1),
+            router.edge_exists_live(&pin, internal.0, internal.1),
             (false, ReadQuality::Degraded)
         );
-        // Degraded degree counts exactly the cut out-edges that survive.
+        // Degraded degree and neighbours cover exactly the cut out-edges
+        // that survive.
         let u = cut.0;
-        let expected: u32 = updates
+        let mut expected: Vec<u32> = updates
             .iter()
             .filter(|&&(a, b)| a == u && g.owner_of(b) != down)
-            .map(|&(a, b)| (a, b))
-            .collect::<std::collections::HashSet<_>>()
-            .len() as u32;
-        assert_eq!(router.degree_degraded(u), (expected, ReadQuality::Degraded));
+            .map(|&(_, b)| b)
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(
+            router.degree_live(&pin, u),
+            (expected.len() as u32, ReadQuality::Degraded)
+        );
+        assert_eq!(
+            router.neighbor_ids_live(&pin, u),
+            (expected, ReadQuality::Degraded)
+        );
     }
 
     #[test]
@@ -2674,65 +2546,6 @@ mod tests {
         });
         g.validate()
             .expect("audit after concurrent read/flush churn");
-    }
-
-    #[test]
-    fn live_reads_compose_with_degraded_protocol() {
-        let g = ShardedGraph::new(2, cfg(128));
-        let router = BatchRouter::new(&g);
-        let updates = pairs(100, 21, 128);
-        for (i, &(u, v)) in updates.iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        assert!(router.flush().is_complete());
-        let down = 0usize;
-        let cut = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) != down)
-            .copied()
-            .expect("some cut edge from the down shard");
-        let internal = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) == down)
-            .copied()
-            .expect("some internal edge on the down shard");
-        g.group()
-            .device(down)
-            .set_fault_plan(FaultPlan::device_lost_at(1));
-        router.submit(0, Update::Insert(Edge::new(internal.0, internal.1)));
-        router.flush();
-        assert_eq!(router.health(down), ShardHealth::Down);
-        // A session pinned now only covers the survivor.
-        let pin = router.pin_read();
-        assert_eq!(pin.pinned_shards(), 1);
-        // Cut edge answers from the survivor's replica, degraded.
-        assert_eq!(
-            router.edge_exists_live(&pin, cut.0, cut.1),
-            (true, ReadQuality::Degraded)
-        );
-        // Internal edge of the down shard: best-effort absence.
-        assert_eq!(
-            router.edge_exists_live(&pin, internal.0, internal.1),
-            (false, ReadQuality::Degraded)
-        );
-        // Survivor-owned vertices stay exact.
-        let survivor_v = updates
-            .iter()
-            .find(|&&(u, _)| g.owner_of(u) != down)
-            .map(|&(u, _)| u)
-            .unwrap();
-        assert_eq!(router.degree_live(&pin, survivor_v).1, ReadQuality::Exact);
-        // Degraded neighbours are exactly the surviving cut out-edges.
-        let (nbrs, q) = router.neighbor_ids_live(&pin, cut.0);
-        assert_eq!(q, ReadQuality::Degraded);
-        let mut expected: Vec<u32> = updates
-            .iter()
-            .filter(|&&(a, b)| a == cut.0 && g.owner_of(b) != down)
-            .map(|&(_, b)| b)
-            .collect();
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(nbrs, expected);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Conformance suite for the `GraphBackend` trait layer: the single
 //! generic triangle count and BFS must produce reference-correct results
 //! over **all four** backends, on fixtures and generated datasets, and
-//! the shared read surface (degree / membership / adjacency) must agree
-//! across structures for identical logical graphs.
+//! the shared read surface (degree / membership / adjacency, each read
+//! under the backend's own pin) must agree across structures for
+//! identical logical graphs.
 
 use dynamic_graphs_gpu::algos;
 use dynamic_graphs_gpu::baselines::{Csr, FaimGraph, Hornet};
@@ -107,23 +108,33 @@ fn read_surface_agrees_across_backends() {
     let edges = graph_gen::uniform_random(96, 700, 55);
     let n = 96u32;
     let backends = all_backends(n, &edges);
+    for b in &backends {
+        assert_eq!(
+            b.pin_read().is_pinned(),
+            b.caps().concurrent_reads,
+            "{}: pin liveness must track the capability flag",
+            b.name()
+        );
+    }
     let reference = &backends[0];
+    let ref_pin = reference.pin_read();
     let probes: Vec<(u32, u32)> = (0..n).map(|u| (u, (u * 7 + 3) % n)).collect();
-    let expect_exist = reference.edges_exist(&probes);
+    let expect_exist = reference.edges_exist(&ref_pin, &probes);
     for b in &backends[1..] {
         let name = b.name();
+        let pin = b.pin_read();
         assert_eq!(b.num_vertices(), reference.num_vertices(), "{name}");
         assert_eq!(b.num_edges(), reference.num_edges(), "{name}");
-        assert_eq!(b.edges_exist(&probes), expect_exist, "{name}");
+        assert_eq!(b.edges_exist(&pin, &probes), expect_exist, "{name}");
         for u in (0..n).step_by(7) {
             assert_eq!(b.degree(u), reference.degree(u), "{name}: degree({u})");
-            let mut got = b.read_neighbors(u);
-            let mut want = reference.read_neighbors(u);
+            let mut got = b.read_neighbors(&pin, u);
+            let mut want = reference.read_neighbors(&ref_pin, u);
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "{name}: adjacency of {u}");
             let mut iterated = Vec::new();
-            b.for_each_neighbor(u, &mut |v| iterated.push(v));
+            b.for_each_neighbor(&pin, u, &mut |v| iterated.push(v));
             iterated.sort_unstable();
             assert_eq!(iterated, got, "{name}: for_each_neighbor({u})");
         }

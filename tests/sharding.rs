@@ -4,6 +4,7 @@
 //! commute with direct application, and a single shard hitting its memory
 //! ceiling must recover via `retry_suffix` while the other shards proceed.
 
+use backend::GraphBackend;
 use router::{shard_of, BatchRouter, ShardedGraph, ShardedValidationError, Update};
 use slabgraph::{DynGraph, Edge, ExecPolicy, FaultPlan, GraphConfig};
 
@@ -91,13 +92,14 @@ fn churn_replay_is_byte_identical_across_shard_counts() {
             );
         }
         assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
+        let pin = g.pin_read();
         for v in 0..N_VERTICES {
             assert_eq!(
                 g.degree(v),
                 reference.degree(v),
                 "degree({v}), {shards} shards"
             );
-            let mut a = g.neighbor_ids(v);
+            let mut a = g.read_neighbors(&pin, v);
             let mut b = reference.neighbor_ids(&reference.pin_read(), v);
             a.sort_unstable();
             b.sort_unstable();

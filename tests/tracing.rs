@@ -88,7 +88,7 @@ fn rounds(seed: u64, n_rounds: usize, per_round: usize) -> Vec<Vec<Update>> {
 }
 
 fn component_sum(r: &OpTraceRecord) -> u64 {
-    r.queue_ns + r.coalesce_ns + r.backoff_ns + r.kernel_ns + r.degraded_ns
+    r.queue_ns + r.backoff_ns + r.kernel_ns + r.degraded_ns
 }
 
 /// The seeded mixed-churn acceptance scenario (4 shards, 8 writer
@@ -142,7 +142,7 @@ fn churn_spans_resolve_to_client_ops_and_attribution_conserves() {
         assert_eq!(
             component_sum(r),
             r.total_ns(),
-            "op {}: {{queue, coalesce, backoff, kernel, degraded}} must sum \
+            "op {}: {{queue, backoff, kernel, degraded}} must sum \
              to the end-to-end total",
             r.op
         );
