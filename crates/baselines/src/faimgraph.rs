@@ -211,13 +211,18 @@ impl FaimGraph {
             .collect();
         let srcs: Vec<u32> = work.iter().map(|e| e.0).collect();
         let dsts: Vec<u32> = work.iter().map(|e| e.1).collect();
-        let src_buf = self.upload(&srcs);
-        let dst_buf = self.upload(&dsts);
+        // Pad words are written too: kernels fetch whole slabs.
+        let stage = |words: &[u32]| {
+            self.dev
+                .try_stage(words, 0)
+                .unwrap_or_else(|e| panic!("faimGraph staging failed: {e}"))
+        };
+        let (src_buf, dst_buf) = (stage(&srcs), stage(&dsts));
         self.dev
             .launch_tasks("faim_edge_insert", work.len(), |warp| {
                 let base = warp.warp_id() * 32;
-                let s = warp.read_slab(src_buf + base);
-                let d = warp.read_slab(dst_buf + base);
+                let s = warp.read_slab(src_buf.addr() + base);
+                let d = warp.read_slab(dst_buf.addr() + base);
                 for lane in 0..32usize {
                     if !warp.is_active(lane) {
                         continue;
@@ -452,18 +457,6 @@ impl FaimGraph {
                 self.write_list_host(u as u32, list);
             }
         });
-    }
-
-    fn upload(&self, data: &[u32]) -> Addr {
-        let padded = (data.len().div_ceil(SLAB_WORDS) * SLAB_WORDS).max(SLAB_WORDS);
-        let buf = self.dev.alloc_words(padded, SLAB_WORDS);
-        // Write the pad words too: kernels fetch whole slabs, and a
-        // partially-written staging buffer would be an uninitialised read.
-        self.dev.arena().fill(buf, padded, 0);
-        for (i, &w) in data.iter().enumerate() {
-            self.dev.arena().store(buf + i as u32, w);
-        }
-        buf
     }
 }
 

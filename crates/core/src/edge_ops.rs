@@ -99,22 +99,19 @@ impl DynGraph {
         let staged = (|| -> Result<_, OomError> {
             let srcs: Vec<u32> = work.iter().map(|e| e.src).collect();
             let dsts: Vec<u32> = work.iter().map(|e| e.dst).collect();
-            let src_buf = self.try_upload(&srcs, u32::MAX)?;
-            let dst_buf = self.try_upload(&dsts, u32::MAX)?;
+            let src_buf = self.dev.try_stage(&srcs, u32::MAX)?;
+            let dst_buf = self.dev.try_stage(&dsts, u32::MAX)?;
             // Only map inserts read weights; deletes match keys alone.
             let weight_buf = if op == EdgeOp::Insert && self.config.kind == TableKind::Map {
                 let ws: Vec<u32> = work.iter().map(|e| e.weight).collect();
-                Some(self.try_upload(&ws, 0)?)
+                Some(self.dev.try_stage(&ws, 0)?)
             } else {
                 None
             };
-            let changed_total = self.dev.try_alloc_words(1, 1)?;
-            self.dev.arena().store(changed_total, 0);
+            let changed_total = self.dev.try_stage(&[0], 0)?;
             // One status word per work item: 0 = unapplied, 1 = applied.
-            let status_buf = self.dev.try_alloc_words(n, 1)?;
-            for i in 0..n as u32 {
-                self.dev.arena().store(status_buf + i, 0);
-            }
+            let status_buf = self.dev.try_lease(n)?;
+            status_buf.write(&[], 0);
             Ok((src_buf, dst_buf, weight_buf, changed_total, status_buf))
         })();
         let (src_buf, dst_buf, weight_buf, changed_total, status_buf) = match staged {
@@ -151,15 +148,20 @@ impl DynGraph {
         self.dev.launch_tasks(kernel_name, n, |warp| {
             let base = warp.warp_id() * WARP_SIZE as u32;
             // Coalesced loads of this warp's 32 edges.
-            let srcs = warp.read_slab(src_buf + base);
-            let dsts = warp.read_slab(dst_buf + base);
+            let srcs = warp.read_slab(src_buf.addr() + base);
+            let dsts = warp.read_slab(dst_buf.addr() + base);
             let weights = weight_buf
-                .map(|wb| warp.read_slab(wb + base))
+                .as_ref()
+                .map(|wb| warp.read_slab(wb.addr() + base))
                 .unwrap_or_default();
             // Status writes are bookkeeping for the host-side outcome, not
             // part of the modelled kernel: uncharged so per-kernel
             // attribution is unchanged by the recovery machinery.
-            let mark = |i: usize| self.dev.arena().store(status_buf + base + i as u32, 1);
+            let mark = |i: usize| {
+                self.dev
+                    .arena()
+                    .store(status_buf.addr() + base + i as u32, 1)
+            };
 
             // Line 3: no self-edges (skipping one counts as applying it).
             let mut pending = Lanes::from_fn(|i| warp.is_active(i) && srcs.get(i) != dsts.get(i));
@@ -253,7 +255,7 @@ impl DynGraph {
                 pending = pending.zip_with(&same_src, |p, s| p && !s);
             }
             if warp_changed > 0 {
-                warp.atomic_add(changed_total, warp_changed);
+                warp.atomic_add(changed_total.addr(), warp_changed);
             }
         });
         // Batch boundary: publish this batch's frees (the release edge of
@@ -265,8 +267,8 @@ impl DynGraph {
         // An edge is complete only when every direction-mirrored copy was
         // applied; half-applied undirected edges go back in the suffix
         // (re-inserting the applied half is an uncounted replace/no-op).
-        let changed = self.download(changed_total, 1)[0] as u64;
-        let status = self.download(status_buf, n);
+        let changed = changed_total.read(1)[0] as u64;
+        let status = status_buf.read(n);
         let pending_edges: Vec<Edge> = original
             .iter()
             .zip(status.chunks(per_edge))

@@ -11,7 +11,7 @@
 //! coalesced.
 
 use crate::graph::{iter_bits, DynGraph};
-use gpu_sim::{Lanes, SLAB_WORDS, WARP_SIZE};
+use gpu_sim::{Lanes, Staged, WARP_SIZE};
 use slab_alloc::ReadGuard;
 use slab_hash::TableKind;
 
@@ -56,23 +56,39 @@ impl DynGraph {
     /// Batched edge-existence queries: one lane per ⟨src,dst⟩ pair, grouped
     /// by source exactly like Algorithm 1's insertion work queue.
     pub fn edges_exist(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.check_pin(pin);
         if pairs.is_empty() {
+            self.check_pin(pin);
             return vec![];
         }
-        let srcs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let dsts: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-        let src_buf = self.upload(&srcs, u32::MAX);
-        let dst_buf = self.upload(&dsts, u32::MAX);
+        self.edge_exist_results(pin, pairs)
+            .read(pairs.len())
+            .into_iter()
+            .map(|w| w != 0)
+            .collect()
+    }
+
+    /// The `edge_exist` kernel behind [`Self::edges_exist`]: answers
+    /// `pairs` (at least one) into a leased result buffer, one word per
+    /// pair, and hands the lease back for the caller to read.
+    pub(crate) fn edge_exist_results(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Staged<'_> {
+        self.check_pin(pin);
+        let stage = |words: Vec<u32>| {
+            self.dev
+                .try_stage(&words, u32::MAX)
+                .unwrap_or_else(|e| panic!("edges_exist: staging failed: {e}"))
+        };
+        let src_buf = stage(pairs.iter().map(|p| p.0).collect());
+        let dst_buf = stage(pairs.iter().map(|p| p.1).collect());
         // No host zero-fill: the kernel stores every active lane's answer.
         let out_buf = self
             .dev
-            .alloc_words(pairs.len().div_ceil(SLAB_WORDS) * SLAB_WORDS, SLAB_WORDS);
+            .try_lease(pairs.len())
+            .unwrap_or_else(|e| panic!("edges_exist: staging failed: {e}"));
 
         self.dev.launch_tasks("edge_exist", pairs.len(), |warp| {
             let base = warp.warp_id() * WARP_SIZE as u32;
-            let srcs = warp.read_slab(src_buf + base);
-            let dsts = warp.read_slab(dst_buf + base);
+            let srcs = warp.read_slab(src_buf.addr() + base);
+            let dsts = warp.read_slab(dst_buf.addr() + base);
             let mut pending = Lanes::from_fn(|i| warp.is_active(i));
             // Each lane keeps its answer in a register across the work
             // queue; the warp stores all of them once, after it drains.
@@ -95,14 +111,10 @@ impl DynGraph {
             }
             // One coalesced result store: the output buffer is slab-aligned,
             // so the warp's lanes span exactly one 128 B segment.
-            let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
+            let addrs = Lanes::from_fn(|i| out_buf.addr() + base + i as u32);
             warp.write_lanes(&addrs, &found.map(u32::from), warp.active_mask());
         });
-
-        self.download(out_buf, pairs.len())
-            .into_iter()
-            .map(|w| w != 0)
-            .collect()
+        out_buf
     }
 
     /// The one adjacency walk behind [`Self::neighbors`] and
@@ -271,9 +283,12 @@ mod tests {
         g.insert_edges(&(0..40).map(|v| Edge::new(v, v + 1)).collect::<Vec<_>>());
         let pin = g.pin_read();
         let pairs: Vec<(u32, u32)> = (0..40).map(|v| (v, v + 1)).collect();
-        assert!(g.edges_exist(&pin, &pairs).iter().all(|&hit| hit));
-        // The two-slab result buffer is the query's last allocation.
-        let out = g.device().arena().allocated_words() as u32 - 64;
+        // The two-slab result lease the query hands back, read while it
+        // is still leased (a released lease reads as never written).
+        let results = g.edge_exist_results(&pin, &pairs);
+        assert!(results.read(40).iter().all(|&hit| hit == 1));
+        let out = results.addr();
+        assert_eq!(results.words(), 64);
         g.device().launch_warps("read_results", 1, |warp| {
             for slab in [out, out + 32] {
                 warp.read_lanes(&Lanes::from_fn(|i| slab + i as u32), FULL_MASK);

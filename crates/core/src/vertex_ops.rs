@@ -13,6 +13,7 @@
 use crate::batch::{BatchOp, BatchOutcome, GraphError};
 use crate::config::Direction;
 use crate::graph::{iter_bits, DynGraph, Edge};
+use gpu_sim::Staged;
 use slab_alloc::AllocError;
 use slab_hash::{TableDesc, TableKind};
 
@@ -169,24 +170,22 @@ impl DynGraph {
         let count = vertices.len() as u32;
         let undirected = self.config.direction == Direction::Undirected;
         let staged = (|| -> Result<_, gpu_sim::OomError> {
-            let verts_buf = self.try_upload(vertices, u32::MAX)?;
+            let verts_buf = self.dev.try_stage(vertices, u32::MAX)?;
             // Line 1: the shared work-queue counter lives in device memory.
-            let queue = self.dev.try_alloc_words(1, 1)?;
+            let queue = self.dev.try_stage(&[0], 0)?;
             // Victim bitmap (undirected only): warps must skip destinations
             // that are themselves victims — their tables are torn down
             // wholesale by their owning warp, and deleting from them here
             // would race with that teardown (and underflow a just-zeroed
             // edge count).
             let victim_bits = if undirected {
-                let bm_words = (self.dict.capacity() as usize).div_ceil(32).max(1);
-                let bm = self.dev.try_alloc_words(bm_words, 1)?;
-                self.dev.arena().fill(bm, bm_words, 0);
+                let mut bits = vec![0u32; (self.dict.capacity() as usize).div_ceil(32)];
                 for &v in vertices {
-                    self.dev.arena().fetch_or(bm + v / 32, 1 << (v % 32));
+                    bits[(v / 32) as usize] |= 1 << (v % 32);
                 }
-                bm
+                Some(self.dev.try_stage(&bits, 0)?)
             } else {
-                gpu_sim::NULL_ADDR
+                None
             };
             Ok((verts_buf, queue, victim_bits))
         })();
@@ -204,7 +203,9 @@ impl DynGraph {
                 })
             }
         };
-        self.dev.arena().store(queue, 0);
+        let bits_base = victim_bits
+            .as_ref()
+            .map_or(gpu_sim::NULL_ADDR, Staged::addr);
 
         let _phase = self.dev.phase("vertex_delete_batch");
         if let Some(p) = self.dev.profiler() {
@@ -215,14 +216,14 @@ impl DynGraph {
         self.dev.launch_warps("vertex_delete", n_warps, |warp| {
             loop {
                 // Lines 3–6: lane 0 claims a queue slot, broadcast to warp.
-                let queue_id = warp.atomic_add(queue, 1);
+                let queue_id = warp.atomic_add(queue.addr(), 1);
                 let _ = warp.shuffle(&gpu_sim::Lanes::splat(queue_id), 0);
                 // Lines 7–9: all work claimed → warp exits.
                 if queue_id >= count {
                     return;
                 }
                 // Line 10: fetch the vertex id.
-                let victim = warp.read_word(verts_buf + queue_id);
+                let victim = warp.read_word(verts_buf.addr() + queue_id);
                 let Some(desc) = self.dict.desc(warp, victim) else {
                     continue;
                 };
@@ -240,7 +241,7 @@ impl DynGraph {
                             // Fellow victims are skipped: their owning warp
                             // frees the whole table (racing with it here
                             // would touch memory mid-teardown).
-                            let bits = warp.read_word(victim_bits + dst / 32);
+                            let bits = warp.read_word(bits_base + dst / 32);
                             if bits & (1 << (dst % 32)) != 0 {
                                 continue;
                             }
@@ -291,6 +292,7 @@ impl DynGraph {
         if deleted.is_empty() {
             return Ok(());
         }
+        let queue = self.dev.try_stage(&[0], 0).map_err(AllocError::from)?;
         let dead_set = TableDesc::create(
             &self.dev,
             TableKind::Set,
@@ -322,11 +324,9 @@ impl DynGraph {
 
         let cap = self.dict.capacity();
         let n_warps = (cap as usize).min(128);
-        let queue = self.dev.alloc_words(1, 1);
-        self.dev.arena().store(queue, 0);
         self.dev
             .launch_warps("purge_deleted", n_warps, |warp| loop {
-                let u = warp.atomic_add(queue, 1);
+                let u = warp.atomic_add(queue.addr(), 1);
                 if u >= cap {
                     return;
                 }

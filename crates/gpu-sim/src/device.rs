@@ -19,6 +19,7 @@ use crate::lanes::{self, Lanes, FULL_MASK, WARP_SIZE};
 use crate::memory::{Addr, DeviceArena, SLAB_WORDS};
 use crate::profiler::{PhaseGuard, Profiler, ProfilerConfig, TraceCtx, TraceScope};
 use crate::sanitizer::{AccessKind, Finding, Sanitizer, SanitizerConfig, WarpRace};
+use crate::staging::StagingPool;
 use crate::trace::{Charge, KernelRegistry, KernelSpec, LaunchShape, TraceSnapshot, HOST_KERNEL};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -143,6 +144,8 @@ pub struct Device {
     /// slab allocator's quarantine holds freed slabs until the era
     /// advances.
     era: AtomicU64,
+    /// Released batch staging leases (see [`crate::staging`]).
+    staging: StagingPool,
 }
 
 impl Device {
@@ -177,7 +180,13 @@ impl Device {
             san,
             prof: config.profile.map(|cfg| Arc::new(Profiler::new(cfg))),
             era: AtomicU64::new(0),
+            staging: StagingPool::default(),
         }
+    }
+
+    /// The device's pool of released staging leases.
+    pub(crate) fn staging(&self) -> &StagingPool {
+        &self.staging
     }
 
     /// The attached shadow-memory sanitizer, if this device was built
@@ -593,13 +602,15 @@ impl Device {
     }
 
     /// Recover a lost device: wipe the arena back to an empty, zeroed
-    /// state (freeing the whole capacity budget), reset the sanitizer's
+    /// state (freeing the whole capacity budget), drop the staging pool
+    /// (arena addresses do not survive the wipe), reset the sanitizer's
     /// shadow state (accumulated findings survive — a reset must not erase
     /// evidence), and clear the lost latch plus any fault plans. Counters
     /// and the kernel registry are *cumulative* and keep their tallies, so
     /// rebuild work after a reset stays visible in traces. The caller is
     /// responsible for rebuilding whatever structures lived in the arena.
     pub fn reset(&self) {
+        self.staging.clear();
         self.arena.reset();
         if let Some(s) = &self.san {
             s.reset_shadow();

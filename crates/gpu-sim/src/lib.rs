@@ -11,6 +11,8 @@
 //!   (`ballot`, `shuffle`, `popc`, `ffs`).
 //! - [`DeviceArena`] — global memory as a growable arena of atomic `u32`
 //!   words addressed by plain `u32` device pointers.
+//! - [`Staged`] — pooled, reused device buffers for per-batch staging
+//!   (see [`staging`]).
 //! - [`Device`] / [`Warp`] — kernel launch (sequential deterministic or
 //!   multi-threaded) and the charged warp-level memory/intrinsic API.
 //! - [`PerfCounters`] / [`CostModel`] — transaction-level accounting and a
@@ -48,6 +50,7 @@ pub mod memory;
 pub mod metrics;
 pub mod profiler;
 pub mod sanitizer;
+pub mod staging;
 pub mod trace;
 
 pub use cost::{CostModel, TRANSACTION_BYTES};
@@ -68,6 +71,7 @@ pub use profiler::{
     OpLifecycle, PhaseGuard, Profiler, ProfilerConfig, Timeline, TraceCtx, TraceScope,
 };
 pub use sanitizer::{Finding, FindingKind, Sanitizer, SanitizerConfig};
+pub use staging::Staged;
 pub use trace::{
     Charge, KernelSpec, KernelStats, LaunchShape, OpAttributionRow, ShardHealthRow,
     TailExemplarRow, TraceReport, TraceRow, TraceSnapshot, HOST_KERNEL,

@@ -403,6 +403,55 @@ impl DeviceArena {
         }
     }
 
+    /// The cells holding the `n` words (even) from the even address `base`
+    /// on, as one run per segment touched.
+    fn cell_runs(&self, base: Addr, n: usize) -> impl Iterator<Item = &[AtomicU64]> {
+        assert!(
+            base.is_multiple_of(2) && n.is_multiple_of(2),
+            "word range {base:#x}+{n} is not whole cells"
+        );
+        let (mut addr, mut left) = (base, n / 2);
+        std::iter::from_fn(move || {
+            (left > 0).then(|| {
+                let room = SEGMENT_CELLS - (addr as usize & (SEGMENT_WORDS - 1)) / 2;
+                let k = left.min(room);
+                let run = self.cells(addr, k);
+                addr = addr.wrapping_add(2 * k as u32);
+                left -= k;
+                run
+            })
+        })
+    }
+
+    /// Bulk host copy of `n` words (even) from the even address `base` on,
+    /// whole cells at a time: `data` first, then `pad` for the rest.
+    pub fn store_words(&self, base: Addr, n: usize, data: &[u32], pad: u32) {
+        assert!(data.len() <= n, "{} words do not fit in {n}", data.len());
+        let mut cells = data
+            .chunks(2)
+            .map(|c| pack([c[0], c.get(1).copied().unwrap_or(pad)]))
+            .chain(std::iter::repeat(pack([pad, pad])));
+        for run in self.cell_runs(base, n) {
+            for (cell, v) in run.iter().zip(&mut cells) {
+                cell.store(v, Ordering::Release);
+            }
+        }
+        if let Some(s) = &self.san {
+            s.mark_init_range(base, n);
+        }
+    }
+
+    /// Bulk host read of `n` words from the even address `base` on, whole
+    /// cells at a time.
+    pub fn load_words(&self, base: Addr, n: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(n + 1);
+        for run in self.cell_runs(base, n + n % 2) {
+            out.extend(run.iter().flat_map(|c| unpack(c.load(Ordering::Acquire))));
+        }
+        out.truncate(n);
+        out
+    }
+
     /// Zero-fill `n` words from `base` (host-side helper for initialising
     /// freshly allocated regions with a sentinel pattern).
     pub fn fill(&self, base: Addr, n: usize, v: u32) {
@@ -608,6 +657,22 @@ mod tests {
         let words: [u32; SLAB_WORDS] = std::array::from_fn(|i| i as u32 * 7);
         a.store_slab(p, &words);
         assert_eq!(a.load_slab(p), words);
+    }
+
+    #[test]
+    fn bulk_words_roundtrip_across_a_segment_boundary() {
+        let a = DeviceArena::new(64);
+        let p = a.alloc_words(SEGMENT_WORDS + 64, 32);
+        // A range that starts 32 words before the second segment.
+        let base = SEGMENT_WORDS as u32 - 32;
+        assert!(p <= base);
+        let data: Vec<u32> = (0..45).collect();
+        a.store_words(base, 64, &data, 7);
+        let got = a.load_words(base, 64);
+        assert_eq!(&got[..45], &data[..]);
+        assert!(got[45..].iter().all(|&w| w == 7));
+        assert_eq!(a.load_words(base, 3), [0, 1, 2], "an odd count truncates");
+        assert_eq!(a.load(base + 40), 40);
     }
 
     #[test]

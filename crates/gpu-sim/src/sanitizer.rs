@@ -425,10 +425,42 @@ impl Sanitizer {
         Self::set_bits(&bits, base, n);
     }
 
+    /// Return the `n` words from the slab-aligned `base` (a whole number
+    /// of slabs) to the state of freshly allocated memory: no word
+    /// initialized and no access, race or sync history. Called when a
+    /// staging lease is released, so its next lessee is checked as if it
+    /// had allocated the words itself.
+    pub fn reset_range(&self, base: Addr, n: usize) {
+        assert!(
+            (base as usize).is_multiple_of(SLAB_WORDS) && n.is_multiple_of(SLAB_WORDS),
+            "reset range {base:#x}+{n} is not whole slabs"
+        );
+        {
+            let bits = self.init.read();
+            for (w, mask) in Self::bit_masks(base, n) {
+                if let Some(word) = bits.get(w) {
+                    word.fetch_and(!mask, Ordering::Relaxed);
+                }
+            }
+        }
+        for slab in (base..base + n as Addr).step_by(SLAB_WORDS) {
+            self.shards[(slab as usize >> 5) % N_SHARDS]
+                .lock()
+                .remove(&slab);
+        }
+    }
+
     fn set_bits(bits: &[AtomicU64], base: Addr, n: usize) {
+        for (w, mask) in Self::bit_masks(base, n) {
+            bits[w].fetch_or(mask, Ordering::Relaxed);
+        }
+    }
+
+    /// The initialization-bitmap words covering `n` words from `base`, each
+    /// with the mask of the covered bits.
+    fn bit_masks(base: Addr, n: usize) -> impl Iterator<Item = (usize, u64)> {
         let (start, end) = (base as usize, base as usize + n);
-        let mut w = start / 64;
-        while w * 64 < end {
+        (start / 64..end.div_ceil(64)).map(move |w| {
             let lo = (w * 64).max(start) % 64;
             let hi = ((w * 64 + 63).min(end - 1)) % 64;
             let mask = if (hi - lo) == 63 {
@@ -436,9 +468,8 @@ impl Sanitizer {
             } else {
                 ((1u64 << (hi - lo + 1)) - 1) << lo
             };
-            bits[w].fetch_or(mask, Ordering::Relaxed);
-            w += 1;
-        }
+            (w, mask)
+        })
     }
 
     #[cfg(test)]
@@ -1032,6 +1063,23 @@ mod tests {
         s.clear_findings();
         touch(&s, &mut w0, 0, "k", 2000, 4, AccessKind::PlainRead);
         assert_eq!(s.findings()[0].kind, FindingKind::OutOfBounds);
+    }
+
+    #[test]
+    fn reset_range_forgets_init_bits_and_access_records() {
+        let s = san();
+        s.mark_init_range(0, 96);
+        let mut w0 = WarpRace::new(1, 0);
+        touch(&s, &mut w0, 0, "ka", 40, 1, AccessKind::PlainWrite);
+        s.reset_range(32, 32);
+        // Same era, another warp: without the write record there is no
+        // race, and the word reads as never written.
+        let mut w1 = WarpRace::new(1, 1);
+        touch(&s, &mut w1, 1, "kb", 40, 1, AccessKind::PlainRead);
+        assert_eq!(s.finding_count(), 1);
+        assert_eq!(s.findings()[0].kind, FindingKind::UninitRead);
+        // Words outside the range keep their state.
+        assert!(s.is_init(31) && s.is_init(64) && !s.is_init(63));
     }
 
     /// Allocator id used by single-allocator fixtures.

@@ -419,3 +419,84 @@ fn staging_failure_applies_nothing() {
     g.device().set_capacity_words(1 << 20);
     assert!(g.edge_exists(&g.pin_read(), 0, 1), "previous state intact");
 }
+
+/// Re-running the same batches on a budget-bounded device reaches a steady
+/// state: every batch stages its inputs, status words and results in
+/// leases the device hands back to its pool, so a budget of set-up plus
+/// 64 Ki words holds 1,000 rounds of insert, `edges_exist`, delete and
+/// vertex-delete batches, and 1,000 rounds of 2-shard router flushes.
+#[test]
+fn repeated_batches_fit_a_fixed_budget() {
+    const ROUNDS: usize = 1000;
+    const HEADROOM: u64 = 1 << 16;
+    let config = |base: GraphConfig| {
+        base.with_device_words(1 << 16)
+            .with_pool_slabs(1024)
+            .with_tombstone_recycling()
+    };
+    // A 192-edge path over vertices 0..=192 and a 64-edge star from hub
+    // 255 into the path's middle.
+    let path: Vec<Edge> = (0..192).map(|u| Edge::new(u, u + 1)).collect();
+    let star: Vec<Edge> = (0..64).map(|i| Edge::new(255, 64 + i)).collect();
+    let edges = [path.clone(), star].concat();
+    let pairs: Vec<(u32, u32)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+
+    let g = DynGraph::new(config(GraphConfig::undirected_set(256)));
+    let round = |r: usize| {
+        let ins = g.try_insert_edges(&edges).unwrap();
+        assert!(ins.is_complete(), "round {r}: insert: {:?}", ins.error);
+        let hits = g.edges_exist(&g.pin_read(), &pairs);
+        assert!(hits.iter().all(|&hit| hit), "round {r}: lost an edge");
+        let del = g.try_delete_edges(&path).unwrap();
+        assert!(del.is_complete(), "round {r}: delete: {:?}", del.error);
+        let vdel = g.try_delete_vertices(&[255]).unwrap();
+        assert!(
+            vdel.is_complete(),
+            "round {r}: vertex delete: {:?}",
+            vdel.error
+        );
+        let hits = g.edges_exist(&g.pin_read(), &pairs);
+        assert!(hits.iter().all(|&hit| !hit), "round {r}: an edge survived");
+    };
+    // Round 0 builds every table and slab the later rounds reuse.
+    round(0);
+    let dev = g.device();
+    dev.set_capacity_words(dev.arena().allocated_words() + HEADROOM);
+    for r in 1..=ROUNDS {
+        round(r);
+    }
+    g.validate().expect("audit after the bounded rounds");
+
+    let sg = ShardedGraph::new(2, config(GraphConfig::directed_map(256)));
+    let router = BatchRouter::new(&sg);
+    let inserts: Vec<Update> = edges
+        .iter()
+        .map(|e| Update::Insert(Edge::weighted(e.src, e.dst, 7)))
+        .collect();
+    let deletes: Vec<Update> = edges.iter().map(|&e| Update::Delete(e)).collect();
+    let flush = |r: usize, updates: &[Update]| {
+        for (i, &u) in updates.iter().enumerate() {
+            router.submit(i % 2, u);
+        }
+        let report = router.flush();
+        assert!(
+            report.is_complete(),
+            "round {r}: shards {:?} incomplete",
+            report.incomplete_shards()
+        );
+    };
+    flush(0, &inserts);
+    flush(0, &deletes);
+    for s in 0..sg.num_shards() {
+        let shard = sg.shard(s);
+        let dev = shard.device();
+        dev.set_capacity_words(dev.arena().allocated_words() + HEADROOM);
+    }
+    for r in 1..=ROUNDS {
+        flush(r, &inserts);
+        flush(r, &deletes);
+    }
+    assert_eq!(sg.num_edges(), 0);
+    sg.validate()
+        .expect("sharded audit after the bounded rounds");
+}

@@ -357,3 +357,65 @@ fn transient_fault_heals_within_retry_budget() {
         })
     ));
 }
+
+/// Arena addresses do not survive a device reset, so neither do staging
+/// leases: the reset drops the device's pool, and a lease still out when
+/// it happens is discarded, not pooled, when it drops. A graph rebuilt on
+/// the reset device is larger than the one before it, so it covers every
+/// pre-reset address; every lease handed out after the rebuild must then
+/// lie past it, and batches on the rebuilt graph stay exact.
+#[test]
+fn device_reset_drops_every_staging_lease() {
+    use dynamic_graphs_gpu::gpu_sim::{Device, SLAB_WORDS};
+    use std::sync::Arc;
+
+    let traffic = rounds(0x1EA5E, 3, 384);
+    let round = |g: &DynGraph, r: &[Update]| {
+        apply_reference(g, r);
+        let pairs: Vec<(u32, u32)> = r
+            .iter()
+            .map(|u| match u {
+                Update::Insert(e) | Update::Delete(e) => (e.src, e.dst),
+            })
+            .collect();
+        g.edges_exist(&g.pin_read(), &pairs)
+    };
+    let dev = Arc::new(Device::new(1 << 18));
+    let before = DynGraph::on_device(dev.clone(), cfg());
+    round(&before, &traffic[0]);
+    drop(before);
+    // The pool now holds the batches' released leases; one more is out.
+    let held = dev.try_lease(1 << 10).unwrap();
+    let reset_at = dev.arena().allocated_words();
+    dev.reset();
+
+    let g = DynGraph::on_device(dev.clone(), cfg().with_pool_slabs(1 << 12));
+    let floor = dev.arena().allocated_words();
+    assert!(
+        floor >= reset_at,
+        "the rebuild must cover every old address"
+    );
+    drop(held);
+    for class in 0..12 {
+        let lease = dev.try_lease(SLAB_WORDS << class).unwrap();
+        assert!(
+            u64::from(lease.addr()) >= floor,
+            "a lease from before the reset was handed out at {:#x}",
+            lease.addr()
+        );
+    }
+
+    let reference = DynGraph::new(cfg());
+    for r in &traffic {
+        assert_eq!(round(&g, r), round(&reference, r));
+    }
+    g.validate().expect("rebuilt graph audit");
+    let pin = g.pin_read();
+    for u in 0..N {
+        let mut got = g.neighbors(&pin, u);
+        got.sort_unstable();
+        let mut want = reference.neighbors(&reference.pin_read(), u);
+        want.sort_unstable();
+        assert_eq!(got, want, "vertex {u}: adjacency diverged");
+    }
+}

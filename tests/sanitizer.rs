@@ -159,6 +159,75 @@ fn dyn_graph_update_churn_is_sanitizer_clean() {
     assert_eq!(g.device().sanitizer_findings(), vec![]);
 }
 
+/// Negative fixture: a released staging lease reads as freshly allocated
+/// memory. Its next lessee never writes the word its kernel reads, so the
+/// read is flagged even though the previous lessee had written it.
+#[test]
+fn stale_lease_word_read_is_flagged_as_uninit() {
+    let dev = sanitized_device(1 << 12);
+    let base = dev.try_stage(&[7; 32], 0).unwrap().addr();
+    let stale = dev.try_lease(1).unwrap();
+    assert_eq!(stale.addr(), base, "the released lease was reused");
+    dev.launch_warps("stale_lease_read", 1, |warp| {
+        warp.read_word(stale.addr() + 3);
+    });
+    let f = dev.sanitizer_findings();
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].kind, FindingKind::UninitRead);
+    assert_eq!(
+        (f[0].addr, f[0].kernel.as_str()),
+        (base + 3, "stale_lease_read")
+    );
+}
+
+/// Clean fixture: a pinned reader's queries and a writer's batches on
+/// another host thread take turns with the same staging leases (after the
+/// first turn neither allocates a fresh word). A lease's shadow is reset
+/// on release, so no access of one lessee is checked against the other's.
+#[test]
+fn lease_reused_across_reader_and_writer_threads_is_clean() {
+    let dev = std::sync::Arc::new(sanitized_device(1 << 18));
+    let g = DynGraph::on_device(dev.clone(), GraphConfig::directed_map(64));
+    let edges: Vec<Edge> = (0..24u32)
+        .map(|i| Edge::weighted(i % 5, 10 + i, i + 1))
+        .collect();
+    let pairs: Vec<(u32, u32)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+    g.insert_edges(&edges);
+    let fresh = || dev.counters().snapshot().words_allocated;
+    let (to_writer, writer_turn) = std::sync::mpsc::channel::<()>();
+    let (to_reader, reader_turn) = std::sync::mpsc::channel::<u64>();
+    let (g, pairs, edges, fresh) = (&g, &pairs, &edges, &fresh);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let pin = g.pin_read();
+            let mut after_first = None;
+            for turn in 0..20 {
+                let hits = g.edges_exist(&pin, pairs);
+                assert_eq!(hits.len(), pairs.len());
+                to_writer.send(()).unwrap();
+                let words = reader_turn.recv().unwrap();
+                if turn == 1 {
+                    after_first = Some(words);
+                }
+            }
+            assert_eq!(Some(fresh()), after_first, "a turn allocated fresh words");
+        });
+        s.spawn(move || {
+            for turn in 0..20 {
+                writer_turn.recv().unwrap();
+                if turn % 2 == 0 {
+                    g.delete_edges(edges);
+                } else {
+                    g.insert_edges(edges);
+                }
+                to_reader.send(fresh()).unwrap();
+            }
+        });
+    });
+    g.validate().expect("graph validates");
+    assert_eq!(dev.sanitizer_findings(), vec![]);
+}
+
 /// Clean fixture under real concurrency: one warp grows a chain, writing
 /// each slab before it CAS-links it, while a second warp chases the links
 /// as they appear. Every read of a new slab is ordered after its write by
